@@ -42,6 +42,39 @@ bool IsInconclusiveCode(StatusCode code) {
          code == StatusCode::kCancelled;
 }
 
+constexpr std::string_view kRequestsTotal = "rpqres_requests_total";
+constexpr std::string_view kRequestsByAlgorithm =
+    "rpqres_requests_by_algorithm_total";
+constexpr std::string_view kPlanCacheEvents = "rpqres_plan_cache_events_total";
+constexpr std::string_view kResultCacheEvents =
+    "rpqres_result_cache_events_total";
+constexpr std::string_view kEngineEvents = "rpqres_engine_events_total";
+
+/// The EngineStats field each {event} sample is read into. The labels of
+/// the two registry families are created with the engine, so they export
+/// (as 0) before their first event.
+struct EventField {
+  std::string_view family;
+  std::string_view label;
+  int64_t EngineStats::*field;
+};
+constexpr EventField kEventFields[] = {
+    {kPlanCacheEvents, "eviction", &EngineStats::cache_evictions},
+    {kPlanCacheEvents, "hit", &EngineStats::cache_hits},
+    {kPlanCacheEvents, "miss", &EngineStats::cache_misses},
+    {kResultCacheEvents, "eviction", &EngineStats::result_cache_evictions},
+    {kResultCacheEvents, "hit", &EngineStats::result_cache_hits},
+    {kResultCacheEvents, "invalidation",
+     &EngineStats::result_cache_invalidations},
+    {kResultCacheEvents, "miss", &EngineStats::result_cache_misses},
+    {kEngineEvents, "batch", &EngineStats::batches_run},
+    {kEngineEvents, "compilation", &EngineStats::compilations},
+    {kEngineEvents, "differential", &EngineStats::differentials_run},
+    {kEngineEvents, "differential_mismatch",
+     &EngineStats::differential_mismatches},
+    {kEngineEvents, "submit", &EngineStats::submits},
+};
+
 /// The DISJOINT status label the exporter reports (unlike
 /// EngineStats::errors, which rolls deadline/cancel in).
 std::string_view StatusLabel(const Status& status) {
@@ -59,21 +92,60 @@ std::string_view StatusLabel(const Status& status) {
 
 }  // namespace
 
+EngineStats EngineStatsFromSnapshot(const obs::MetricsSnapshot& snapshot,
+                                    std::string_view shard) {
+  EngineStats stats;
+  for (const obs::CounterFamily::Snapshot& family : snapshot.counters) {
+    for (const obs::CounterFamily::Sample& sample : family.samples) {
+      if (sample.shard != shard) continue;
+      if (family.name == kRequestsTotal) {
+        stats.instances_run += sample.value;
+        if (sample.label != "ok") stats.errors += sample.value;
+        if (sample.label == "deadline_exceeded") {
+          stats.deadline_exceeded = sample.value;
+        }
+        if (sample.label == "cancelled") stats.cancelled = sample.value;
+      } else if (family.name == kRequestsByAlgorithm) {
+        if (sample.value > 0) {
+          stats.instances_by_algorithm[sample.label] = sample.value;
+        }
+      } else {
+        for (const EventField& event : kEventFields) {
+          if (family.name == event.family && sample.label == event.label) {
+            stats.*event.field = sample.value;
+          }
+        }
+      }
+    }
+  }
+  return stats;
+}
+
 ResilienceEngine::ResilienceEngine(EngineOptions options)
     : options_(options),
       cache_(options.plan_cache_capacity),
       result_cache_(options.result_cache_capacity,
                     options.result_cache_max_bytes),
       requests_total_(metrics_.Counter(
-          "rpqres_requests_total",
+          kRequestsTotal,
           "Requests by disjoint final status; the four labels sum to "
           "instances_run.",
           "status")),
       requests_by_algorithm_(metrics_.Counter(
-          "rpqres_requests_by_algorithm_total",
+          kRequestsByAlgorithm,
           "Answered requests by the solver algorithm that produced the "
           "answer.",
           "algorithm")),
+      result_cache_events_(metrics_.Counter(
+          kResultCacheEvents,
+          "Version-keyed result-cache probes, evictions, and explicit "
+          "invalidations.",
+          "event")),
+      engine_events_(metrics_.Counter(
+          kEngineEvents,
+          "Engine lifecycle events (compiles, batches, async submits, "
+          "differential runs).",
+          "event")),
       request_latency_(metrics_.Histogram(
           "rpqres_request_latency_micros",
           "End-to-end request wall time in microseconds, by disjoint final "
@@ -90,7 +162,13 @@ ResilienceEngine::ResilienceEngine(EngineOptions options)
           "phase")),
       slow_log_(options.slow_query_log_capacity),
       pool_(options.num_threads > 0 ? options.num_threads
-                                    : ThreadPool::DefaultNumThreads()) {}
+                                    : ThreadPool::DefaultNumThreads()) {
+  for (const EventField& event : kEventFields) {
+    if (event.family != kPlanCacheEvents) {
+      metrics_.Counter(event.family, {}, {})->WithLabel(event.label);
+    }
+  }
+}
 
 Result<std::shared_ptr<const CompiledQuery>> ResilienceEngine::Compile(
     const std::string& regex, Semantics semantics) {
@@ -102,29 +180,16 @@ Result<std::shared_ptr<const CompiledQuery>> ResilienceEngine::CompileInternal(
   if (std::shared_ptr<const CompiledQuery> cached =
           cache_.Lookup(regex, semantics)) {
     if (was_cache_hit) *was_cache_hit = true;
-    MutexLock lock(stats_mu_);
-    ++stats_.cache_hits;
     return cached;
   }
   if (was_cache_hit) *was_cache_hit = false;
-  {
-    // Counted at the probe (before the compile can fail), matching the
-    // plan cache's own hit/miss semantics.
-    MutexLock lock(stats_mu_);
-    ++stats_.cache_misses;
-  }
   CompileOptions compile_options;
   compile_options.allow_exponential = options_.allow_exponential;
   compile_options.max_word_length = options_.max_word_length;
   RPQRES_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledQuery> compiled,
                           CompileQuery(regex, semantics, compile_options));
-  const size_t evicted = cache_.Insert(compiled);
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.compilations;
-    stats_.total_compile_micros += compiled->compile_micros;
-    stats_.cache_evictions += static_cast<int64_t>(evicted);
-  }
+  cache_.Insert(compiled);
+  engine_events_->WithLabel("compilation").Increment();
   return compiled;
 }
 
@@ -147,10 +212,8 @@ ResilienceResponse ResilienceEngine::Evaluate(
   if (!compiled.ok()) {
     ResilienceResponse response;
     response.status = compiled.status();
-    RecordContext context;
-    context.request = &request;
-    context.total_micros = lookup_micros;
-    RecordInstance(response, context);
+    RecordInstance(response,
+                   {.request = &request, .total_micros = lookup_micros});
     return response;
   }
   // On a residency hit the measured time is the pure cache probe; on a
@@ -198,9 +261,7 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateBatch(
               plans.at({request.regex, request.semantics});
           if (!slot.compiled.ok()) {
             responses[i].status = slot.compiled.status();
-            RecordContext context;
-            context.request = &request;
-            RecordInstance(responses[i], context);
+            RecordInstance(responses[i], {.request = &request});
             return;
           }
           query = slot.compiled->get();
@@ -210,8 +271,7 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateBatch(
                     first_compile[i] ? query->compile_micros : 0);
       });
 
-  MutexLock lock(stats_mu_);
-  ++stats_.batches_run;
+  engine_events_->WithLabel("batch").Increment();
   return responses;
 }
 
@@ -431,9 +491,7 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateDifferential(
             response.differential->reference_status = slot.compiled.status();
             response.differential->mismatch =
                 "compile failed: " + slot.compiled.status().ToString();
-            RecordContext context;
-            context.request = &request;
-            RecordInstance(response, context);
+            RecordInstance(response, {.request = &request});
             return;
           }
           query = slot.compiled->get();
@@ -443,13 +501,12 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateDifferential(
         RunReference(*query, request, &response);
       });
 
-  MutexLock lock(stats_mu_);
-  ++stats_.batches_run;
+  engine_events_->WithLabel("batch").Increment();
   for (const ResilienceResponse& response : responses) {
-    ++stats_.differentials_run;
+    engine_events_->WithLabel("differential").Increment();
     if (response.differential.has_value() && !response.differential->agree &&
         !response.differential->inconclusive) {
-      ++stats_.differential_mismatches;
+      engine_events_->WithLabel("differential_mismatch").Increment();
     }
   }
   return responses;
@@ -462,10 +519,7 @@ std::future<ResilienceResponse> ResilienceEngine::Submit(
 
 std::future<ResilienceResponse> ResilienceEngine::Submit(
     ResilienceRequest request, ResponseCallback on_complete) {
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.submits;
-  }
+  engine_events_->WithLabel("submit").Increment();
   auto promise = std::make_shared<std::promise<ResilienceResponse>>();
   std::future<ResilienceResponse> future = promise->get_future();
   pool_.Submit([this, request = std::move(request), promise,
@@ -522,17 +576,12 @@ ResilienceResponse ResilienceEngine::Execute(const CompiledQuery& query,
     }
   }
 
-  RequestTelemetry telemetry;
-  ResilienceResponse response =
-      ExecuteTraced(query, request, trace, &telemetry);
+  RecordContext context{.request = &request, .trace = trace};
+  ResilienceResponse response = ExecuteTraced(query, request, trace, &context);
   response.stats.cache_hit = cache_hit;
   response.stats.compile_micros = compile_micros;
 
   if (trace != nullptr) trace->End(root);
-  RecordContext context;
-  context.request = &request;
-  context.trace = trace;
-  context.telemetry = &telemetry;
   context.total_micros = MicrosSince(start);
   RecordInstance(response, context);
   return response;
@@ -540,7 +589,7 @@ ResilienceResponse ResilienceEngine::Execute(const CompiledQuery& query,
 
 ResilienceResponse ResilienceEngine::ExecuteTraced(
     const CompiledQuery& query, const ResilienceRequest& request,
-    obs::TraceContext* trace, RequestTelemetry* telemetry) {
+    obs::TraceContext* trace, RecordContext* context) {
   const RequestOptions& request_options = request.options;
   ResilienceResponse response;
   response.stats.complexity =
@@ -564,8 +613,8 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
         "request carries no database (default DbHandle)");
     return response;
   }
-  telemetry->lineage = db.lineage();
-  telemetry->version = db.version();
+  context->lineage = db.lineage();
+  context->version = db.version();
 
   // Fixed-endpoint validation (the solve itself branches below).
   const bool fixed_endpoints =
@@ -606,7 +655,7 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
       result_cache_.enabled() && db.lineage() != 0 &&
       (!request_options.method.has_value() ||
        *request_options.method == ResilienceMethod::kAuto);
-  telemetry->result_cache_checked = cacheable;
+  context->result_cache_checked = cacheable;
   ResultCacheKey cache_key;
   if (cacheable) {
     cache_key = ResultCacheKey{query.regex,
@@ -713,9 +762,12 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
     response.stats.product_edges_pruned = response.result.product_edges_pruned;
     response.stats.search_nodes = response.result.search_nodes;
     if (cacheable) {
-      telemetry->result_cache_evictions = static_cast<int64_t>(
-          result_cache_.Insert(std::move(cache_key),
-                               CachedResult{response.result, response.stats}));
+      const size_t evicted = result_cache_.Insert(
+          std::move(cache_key), CachedResult{response.result, response.stats});
+      if (evicted > 0) {
+        result_cache_events_->WithLabel("eviction")
+            .Add(static_cast<int64_t>(evicted));
+      }
     }
   }
   return response;
@@ -724,40 +776,24 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
 void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
                                       const RecordContext& context) {
   const StatusCode code = response.status.code();
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.instances_run;
-    if (!response.status.ok()) ++stats_.errors;
-    if (code == StatusCode::kDeadlineExceeded) ++stats_.deadline_exceeded;
-    if (code == StatusCode::kCancelled) ++stats_.cancelled;
-    stats_.total_solve_micros += response.stats.solve_micros;
-    stats_.flow_vertices_pruned += response.stats.product_vertices_pruned;
-    stats_.flow_edges_pruned += response.stats.product_edges_pruned;
-    if (!response.stats.algorithm.empty()) {
-      ++stats_.instances_by_algorithm[response.stats.algorithm];
-    }
-    if (context.telemetry != nullptr &&
-        context.telemetry->result_cache_checked) {
-      if (response.stats.result_cache_hit) {
-        ++stats_.result_cache_hits;
-      } else {
-        ++stats_.result_cache_misses;
-      }
-      stats_.result_cache_evictions += context.telemetry->result_cache_evictions;
-    }
-  }
-
-  // Metric families are internally synchronized; no stats_mu_ needed.
   const std::string_view status = StatusLabel(response.status);
   const double total_micros = context.total_micros > 0
                                   ? context.total_micros
                                   : response.stats.solve_micros;
+  // The status first: the algorithm (only answered requests have one)
+  // and the result-cache probe are bounded by it, and a snapshot reads
+  // them before it (see stats()).
   requests_total_->WithLabel(status).Increment();
   request_latency_->WithLabel(status).Record(total_micros);
   if (!response.stats.algorithm.empty()) {
     requests_by_algorithm_->WithLabel(response.stats.algorithm).Increment();
     solve_latency_->WithLabel(response.stats.algorithm)
         .Record(response.stats.solve_micros);
+  }
+  if (context.result_cache_checked) {
+    result_cache_events_
+        ->WithLabel(response.stats.result_cache_hit ? "hit" : "miss")
+        .Increment();
   }
   if (context.trace != nullptr) {
     const obs::TraceSpan* spans = context.trace->spans();
@@ -793,10 +829,8 @@ void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
     }
     record.status = std::string(status);
     record.algorithm = response.stats.algorithm;
-    if (context.telemetry != nullptr) {
-      record.lineage = context.telemetry->lineage;
-      record.version = context.telemetry->version;
-    }
+    record.lineage = context.lineage;
+    record.version = context.version;
     record.compile_micros =
         static_cast<int64_t>(response.stats.compile_micros);
     record.solve_micros = static_cast<int64_t>(response.stats.solve_micros);
@@ -814,16 +848,12 @@ void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
 }
 
 EngineStats ResilienceEngine::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  return EngineStatsFromSnapshot(TakeMetricsSnapshot());
 }
 
 void ResilienceEngine::ResetStats() {
   cache_.ResetStats();
-  result_cache_.ResetStats();
   metrics_.Reset();
-  MutexLock lock(stats_mu_);
-  stats_ = EngineStats{};
 }
 
 std::string ResilienceEngine::ExportMetrics(MetricsFormat format,
@@ -836,40 +866,15 @@ std::string ResilienceEngine::ExportMetrics(MetricsFormat format,
 obs::MetricsSnapshot ResilienceEngine::TakeMetricsSnapshot(
     const DbRegistry* registry) const {
   obs::MetricsSnapshot snapshot = metrics_.TakeSnapshot();
-  const EngineStats s = stats();
-
-  // EngineStats counters exported as families (samples sorted by label,
-  // matching CounterFamily snapshots).
-  auto add_counter = [&snapshot](
-                         std::string_view name, std::string_view help,
-                         std::vector<obs::CounterFamily::Sample> samples) {
-    obs::CounterFamily::Snapshot family;
-    family.name = std::string(name);
-    family.help = std::string(help);
-    family.label_key = "event";
-    family.samples = std::move(samples);
-    snapshot.counters.push_back(std::move(family));
-  };
-  add_counter("rpqres_plan_cache_events_total",
-              "Plan-cache probes and evictions.",
-              {{"eviction", s.cache_evictions},
-               {"hit", s.cache_hits},
-               {"miss", s.cache_misses}});
-  add_counter("rpqres_result_cache_events_total",
-              "Version-keyed result-cache probes, evictions, and explicit "
-              "invalidations.",
-              {{"eviction", s.result_cache_evictions},
-               {"hit", s.result_cache_hits},
-               {"invalidation", s.result_cache_invalidations},
-               {"miss", s.result_cache_misses}});
-  add_counter("rpqres_engine_events_total",
-              "Engine lifecycle events (compiles, batches, async submits, "
-              "differential runs).",
-              {{"batch", s.batches_run},
-               {"compilation", s.compilations},
-               {"differential", s.differentials_run},
-               {"differential_mismatch", s.differential_mismatches},
-               {"submit", s.submits}});
+  // Plan-cache events come from the cache's own counters, exported after
+  // the two request families (samples sorted by label).
+  const PlanCache::Stats plan = cache_.stats();
+  snapshot.counters.insert(
+      snapshot.counters.begin() + 2,
+      {std::string(kPlanCacheEvents),
+       "Plan-cache probes and evictions.",
+       "event",
+       {{"eviction", plan.evictions}, {"hit", plan.hits}, {"miss", plan.misses}}});
 
   auto add_gauge = [&snapshot](std::string_view name, std::string_view help,
                                double value) {
@@ -956,8 +961,7 @@ PlanCacheView ResilienceEngine::plan_cache_view() const {
 
 ResultCacheView ResilienceEngine::result_cache_view() const {
   return ResultCacheView{result_cache_.size(), result_cache_.capacity(),
-                         result_cache_.size_bytes(), result_cache_.max_bytes(),
-                         result_cache_.stats()};
+                         result_cache_.size_bytes(), result_cache_.max_bytes()};
 }
 
 int64_t ResilienceEngine::InvalidateResults(uint64_t lineage,
@@ -965,8 +969,7 @@ int64_t ResilienceEngine::InvalidateResults(uint64_t lineage,
   const int64_t dropped = version.has_value()
                               ? result_cache_.EraseVersion(lineage, *version)
                               : result_cache_.EraseLineage(lineage);
-  MutexLock lock(stats_mu_);
-  stats_.result_cache_invalidations += dropped;
+  result_cache_events_->WithLabel("invalidation").Add(dropped);
   return dropped;
 }
 

@@ -42,6 +42,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,8 +58,6 @@
 #include "obs/trace.h"
 #include "resilience/resilience.h"
 #include "util/status.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace rpqres {
@@ -133,8 +132,15 @@ struct ResultCacheView {
   /// Accounted entry footprint and its budget (0 = unbounded by bytes).
   size_t bytes = 0;
   size_t max_bytes = 0;
-  ResultCache::Stats stats;
 };
+
+/// The one derivation of EngineStats from counter families: reads the
+/// samples of `snapshot` whose shard label equals `shard` — "" for one
+/// engine's TakeMetricsSnapshot, "all" for the roll-up that
+/// obs::MergeShardSnapshots adds. ResilienceEngine::stats() and
+/// serve::Router::engine_stats() both use it.
+EngineStats EngineStatsFromSnapshot(const obs::MetricsSnapshot& snapshot,
+                                    std::string_view shard = {});
 
 /// The engine. Thread-safe: Compile/Evaluate/EvaluateBatch/Submit may be
 /// called concurrently from multiple threads; a batch call additionally
@@ -200,18 +206,21 @@ class ResilienceEngine {
 
   // --- Introspection ------------------------------------------------------
 
-  /// Aggregate counters snapshot (cache_* reflect the plan cache). The
-  /// snapshot is CONSISTENT under concurrent Submit/Evaluate traffic:
-  /// every field is maintained under one mutex at its counting point, so
-  /// cross-field invariants (deadline_exceeded + cancelled <= errors <=
-  /// instances_run, sum of instances_by_algorithm <= instances_run, ...)
-  /// hold in every snapshot, never just at quiescence.
-  EngineStats stats() const RPQRES_EXCLUDES(stats_mu_);
-  /// Clears the EngineStats snapshot, the underlying cache counters, and
-  /// every metric family (latency histograms included) atomically per
-  /// component. The slow-query log is NOT cleared (it is a log, not a
-  /// counter); use slow_queries() before resetting if needed.
-  void ResetStats() RPQRES_EXCLUDES(stats_mu_);
+  /// EngineStatsFromSnapshot(TakeMetricsSnapshot()): a view, not a store.
+  /// Its invariants (deadline_exceeded + cancelled <= errors <=
+  /// instances_run, sum of instances_by_algorithm <= instances_run -
+  /// errors, result-cache probes <= instances_run) hold in every snapshot
+  /// under concurrent traffic, without a lock: the status fields sum one
+  /// family read once, and RecordInstance counts the status before the
+  /// algorithm and result-cache probe it bounds, which a snapshot reads
+  /// first (see MetricsRegistry::TakeSnapshot).
+  EngineStats stats() const;
+  /// Zeroes the plan-cache counters and every metric family (latency
+  /// histograms included). Labels survive at 0. A snapshot that races the
+  /// reset may see some families zeroed and others not. The slow-query log
+  /// is NOT cleared (it is a log, not a counter); use slow_queries() before
+  /// resetting if needed.
+  void ResetStats();
 
   /// Renders every engine metric — request/solve/phase latency histograms
   /// (p50/p95/p99 in the JSON form), disjoint-status request counters,
@@ -263,29 +272,22 @@ class ResilienceEngine {
       std::span<const ResilienceRequest> requests,
       std::vector<bool>* first_compile);
 
-  /// Side facts Execute gathers for RecordInstance that don't belong in
-  /// the response itself (cache interaction, resolved db identity).
-  struct RequestTelemetry {
-    uint64_t lineage = 0;
-    uint32_t version = 0;
-    bool result_cache_checked = false;
-    int64_t result_cache_evictions = 0;
-  };
-
-  /// Context handed to RecordInstance alongside the response; everything
-  /// optional so bare RecordInstance(response) keeps working for callers
-  /// with no trace/telemetry (the differential reference path).
+  /// What RecordInstance needs beyond the response; every field is
+  /// optional (a compile failure sets only `request`). ExecuteTraced fills
+  /// the resolved db identity and whether the result cache was probed.
   struct RecordContext {
     const ResilienceRequest* request = nullptr;
     const obs::TraceContext* trace = nullptr;
-    const RequestTelemetry* telemetry = nullptr;
     double total_micros = 0;
+    uint64_t lineage = 0;
+    uint32_t version = 0;
+    bool result_cache_checked = false;
   };
 
   /// Solve step shared by all entry points; applies per-request
   /// overrides, deadline, cancellation, and fixed endpoints; solves with
-  /// the calling thread's SolverScratch; records into stats_ and the
-  /// metric families. Opens a kRequest span on the effective trace
+  /// the calling thread's SolverScratch; records the instance once, via
+  /// RecordInstance. Opens a kRequest span on the effective trace
   /// context (request.options.trace, else a stack-local one when
   /// options_.enable_tracing), then delegates to ExecuteTraced.
   /// `plan_lookup_micros` is the already-paid plan-cache/compile lookup
@@ -296,13 +298,13 @@ class ResilienceEngine {
                              double plan_lookup_micros = 0);
 
   /// The body of Execute: db resolution, result-cache lookup, solver
-  /// dispatch. Records spans into `trace` (nullable) and side facts into
-  /// `telemetry`; does NOT touch stats_ — Execute records once on the
-  /// way out.
+  /// dispatch. Records spans into `trace` (nullable), side facts into
+  /// `context`, and result-cache evictions where they happen; the
+  /// instance itself is recorded by Execute on the way out.
   ResilienceResponse ExecuteTraced(const CompiledQuery& query,
                                    const ResilienceRequest& request,
                                    obs::TraceContext* trace,
-                                   RequestTelemetry* telemetry);
+                                   RecordContext* context);
 
   /// The exact reference solve + judging for one differential request;
   /// fills response->differential.
@@ -310,31 +312,31 @@ class ResilienceEngine {
                     const ResilienceRequest& request,
                     ResilienceResponse* response);
 
-  /// Single sink for per-instance accounting: EngineStats fields under
-  /// stats_mu_, then (outside the mutex) metric families and, when the
-  /// request qualifies, the slow-query log. A default-constructed context
-  /// is valid (no trace, no telemetry).
+  /// Single sink for per-instance accounting: the request counters (the
+  /// status first, then the algorithm and result-cache probe it bounds),
+  /// the latency histograms and, when the request qualifies, the
+  /// slow-query log. Takes no engine-wide lock.
   void RecordInstance(const ResilienceResponse& response,
-                      const RecordContext& context)
-      RPQRES_EXCLUDES(stats_mu_);
+                      const RecordContext& context);
 
   EngineOptions options_;
   PlanCache cache_;
   ResultCache result_cache_;
-  mutable Mutex stats_mu_;
-  EngineStats stats_ RPQRES_GUARDED_BY(stats_mu_);
-  /// Metric families live in metrics_; the pointers below are stable
-  /// (MetricsRegistry owns them) and set once in the constructor.
+  /// Every engine event but the plan cache's is counted once, here. The
+  /// pointers below are stable (MetricsRegistry owns them) and set once in
+  /// the constructor, which creates the bounding requests_total_ first.
   obs::MetricsRegistry metrics_;
   obs::CounterFamily* requests_total_ = nullptr;        // {status}
   obs::CounterFamily* requests_by_algorithm_ = nullptr; // {algorithm}
+  obs::CounterFamily* result_cache_events_ = nullptr;   // {event}
+  obs::CounterFamily* engine_events_ = nullptr;         // {event}
   obs::HistogramFamily* request_latency_ = nullptr;     // {status}, micros
   obs::HistogramFamily* solve_latency_ = nullptr;       // {algorithm}, micros
   obs::HistogramFamily* phase_micros_ = nullptr;        // {phase}, micros
   obs::SlowQueryLog slow_log_;
   /// Declared last on purpose: ~ThreadPool drains still-queued Submit
-  /// tasks, which touch cache_/stats_mu_/stats_/metrics_ — everything
-  /// they use must be destroyed after the pool.
+  /// tasks, which touch cache_/result_cache_/metrics_/slow_log_ —
+  /// everything they use must be destroyed after the pool.
   ThreadPool pool_;
 };
 

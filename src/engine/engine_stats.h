@@ -1,8 +1,12 @@
 // rpqres — engine/engine_stats: per-instance and aggregate engine metrics.
 //
-// Every engine run records what happened (classification outcome, solver,
-// wall time, flow-network size) so benchmark harnesses and operators can
-// see where time goes without instrumenting solvers themselves.
+// Every engine run reports what happened (classification outcome, solver,
+// wall time, flow-network size) in its response's InstanceStats, so
+// benchmark harnesses and operators can see where time goes without
+// instrumenting solvers themselves. Aggregates have one source: each
+// event is counted once, in the engine's metric families (plan-cache
+// events in PlanCache::Stats), and EngineStats is computed from a
+// snapshot of those counters, never stored.
 
 #ifndef RPQRES_ENGINE_ENGINE_STATS_H_
 #define RPQRES_ENGINE_ENGINE_STATS_H_
@@ -45,7 +49,9 @@ struct InstanceStats {
 };
 
 /// Aggregate counters for one engine, cumulative since construction (or
-/// the last ResetStats).
+/// the last ResetStats). A read-only view: ResilienceEngine::stats() and
+/// serve::Router::engine_stats() derive it from a metrics snapshot with
+/// EngineStatsFromSnapshot (engine/engine.h); nothing records into it.
 struct EngineStats {
   int64_t instances_run = 0;
   int64_t batches_run = 0;
@@ -80,45 +86,10 @@ struct EngineStats {
   int64_t result_cache_misses = 0;
   int64_t result_cache_evictions = 0;
   int64_t result_cache_invalidations = 0;
-  /// Aggregate product-pruning effect across flow solves (see
-  /// InstanceStats::product_vertices_pruned).
-  int64_t flow_vertices_pruned = 0;
-  int64_t flow_edges_pruned = 0;
-  double total_compile_micros = 0;
-  double total_solve_micros = 0;
-  /// Instance counts by solver algorithm string.
+  /// Instance counts by solver algorithm string (algorithms with a zero
+  /// count are left out).
   std::map<std::string, int64_t> instances_by_algorithm;
 };
-
-/// Accumulates `in` into `out`, field-wise. Every counter sums, so
-/// merging N engines' stats yields the view one engine would have
-/// produced had it run all the traffic — the serve Router relies on this
-/// to present a fleet-wide EngineStats.
-inline void MergeEngineStats(const EngineStats& in, EngineStats* out) {
-  out->instances_run += in.instances_run;
-  out->batches_run += in.batches_run;
-  out->compilations += in.compilations;
-  out->cache_hits += in.cache_hits;
-  out->cache_misses += in.cache_misses;
-  out->cache_evictions += in.cache_evictions;
-  out->errors += in.errors;
-  out->submits += in.submits;
-  out->deadline_exceeded += in.deadline_exceeded;
-  out->cancelled += in.cancelled;
-  out->differentials_run += in.differentials_run;
-  out->differential_mismatches += in.differential_mismatches;
-  out->result_cache_hits += in.result_cache_hits;
-  out->result_cache_misses += in.result_cache_misses;
-  out->result_cache_evictions += in.result_cache_evictions;
-  out->result_cache_invalidations += in.result_cache_invalidations;
-  out->flow_vertices_pruned += in.flow_vertices_pruned;
-  out->flow_edges_pruned += in.flow_edges_pruned;
-  out->total_compile_micros += in.total_compile_micros;
-  out->total_solve_micros += in.total_solve_micros;
-  for (const auto& [algorithm, count] : in.instances_by_algorithm) {
-    out->instances_by_algorithm[algorithm] += count;
-  }
-}
 
 }  // namespace rpqres
 

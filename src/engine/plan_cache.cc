@@ -19,26 +19,22 @@ std::shared_ptr<const CompiledQuery> PlanCache::Lookup(
   return it->second->second;
 }
 
-size_t PlanCache::Insert(std::shared_ptr<const CompiledQuery> query) {
+void PlanCache::Insert(std::shared_ptr<const CompiledQuery> query) {
   Key key{query->regex, query->semantics};
   MutexLock lock(mu_);
-  ++stats_.insertions;
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second = std::move(query);
     lru_.splice(lru_.begin(), lru_, it->second);
-    return 0;
+    return;
   }
   lru_.emplace_front(key, std::move(query));
   index_[key] = lru_.begin();
-  size_t evicted = 0;
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
     ++stats_.evictions;
-    ++evicted;
   }
-  return evicted;
 }
 
 size_t PlanCache::size() const {

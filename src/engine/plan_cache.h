@@ -24,11 +24,11 @@ namespace rpqres {
 /// Thread-safe LRU map (regex, semantics) → CompiledQuery.
 class PlanCache {
  public:
-  /// Counters since construction (or the last ResetStats).
+  /// Counters since construction (or the last ResetStats); the engine's
+  /// only record of plan-cache events.
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
-    int64_t insertions = 0;
     int64_t evictions = 0;
   };
 
@@ -42,10 +42,8 @@ class PlanCache {
       RPQRES_EXCLUDES(mu_);
 
   /// Inserts (or replaces) the plan for its own (regex, semantics) key,
-  /// evicting the least-recently-used entry when over capacity. Returns
-  /// how many entries were evicted, so the engine can fold evictions into
-  /// its own consistent stats snapshot.
-  size_t Insert(std::shared_ptr<const CompiledQuery> query)
+  /// evicting the least-recently-used entry when over capacity.
+  void Insert(std::shared_ptr<const CompiledQuery> query)
       RPQRES_EXCLUDES(mu_);
 
   size_t size() const RPQRES_EXCLUDES(mu_);

@@ -14,7 +14,7 @@ std::string VertexName(const Hypergraph& h, int v) {
       !h.vertex_names[v].empty()) {
     return h.vertex_names[v];
   }
-  return "v" + std::to_string(v);
+  return std::string("v").append(std::to_string(v));
 }
 
 }  // namespace

@@ -12,8 +12,8 @@ GraphDb EncodeGraph(const DirectedGraph& graph, const PreGadget& gadget) {
   // Per node u of G: fresh s_u, t_u and the fact s_u -a-> t_u.
   std::vector<NodeId> t_of(graph.num_vertices);
   for (int u = 0; u < graph.num_vertices; ++u) {
-    NodeId s = out.AddNode("s" + std::to_string(u));
-    t_of[u] = out.AddNode("t" + std::to_string(u));
+    NodeId s = out.AddNode(std::string("s").append(std::to_string(u)));
+    t_of[u] = out.AddNode(std::string("t").append(std::to_string(u)));
     out.AddFact(s, gadget.label, t_of[u]);
   }
   // Per edge (u, v): a copy of the pre-gadget with t_in -> t_u,
@@ -25,8 +25,10 @@ GraphDb EncodeGraph(const DirectedGraph& graph, const PreGadget& gadget) {
     remap[gadget.t_out] = t_of[v];
     for (NodeId w = 0; w < gadget.db.num_nodes(); ++w) {
       if (remap[w] < 0) {
-        remap[w] = out.AddNode("e" + std::to_string(e) + "_" +
-                               gadget.db.node_name(w));
+        remap[w] = out.AddNode(std::string("e")
+                                   .append(std::to_string(e))
+                                   .append("_")
+                                   .append(gadget.db.node_name(w)));
       }
     }
     for (FactId f = 0; f < gadget.db.num_facts(); ++f) {

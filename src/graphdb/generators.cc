@@ -10,6 +10,14 @@ Capacity DrawMultiplicity(Rng* rng, Capacity max_multiplicity) {
   return rng->NextInRange(1, max_multiplicity);
 }
 
+/// "<prefix><row>_<col>", appended into one string (the `"x" + string`
+/// form trips a GCC 12 -Wrestrict false positive).
+std::string GridNodeName(char prefix, int row, int col) {
+  std::string name(1, prefix);
+  name.append(std::to_string(row)).append("_").append(std::to_string(col));
+  return name;
+}
+
 }  // namespace
 
 GraphDb RandomGraphDb(Rng* rng, int num_nodes, int num_facts,
@@ -36,8 +44,7 @@ GraphDb LayeredFlowDb(Rng* rng, int sources, int layers, int width,
   std::vector<std::vector<NodeId>> grid(layers);
   for (int l = 0; l < layers; ++l) {
     for (int w = 0; w < width; ++w) {
-      grid[l].push_back(
-          db.AddNode("L" + std::to_string(l) + "_" + std::to_string(w)));
+      grid[l].push_back(db.AddNode(GridNodeName('L', l, w)));
     }
   }
   // a-edges from fresh source stubs into the first layer.
@@ -175,8 +182,7 @@ GraphDb GridDb(Rng* rng, int rows, int cols, const std::vector<char>& labels,
   std::vector<NodeId> nodes(static_cast<size_t>(rows) * cols);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
-      nodes[r * cols + c] =
-          db.AddNode("g" + std::to_string(r) + "_" + std::to_string(c));
+      nodes[r * cols + c] = db.AddNode(GridNodeName('g', r, c));
     }
   }
   for (int r = 0; r < rows; ++r) {
@@ -205,8 +211,7 @@ GraphDb DagLayersDb(Rng* rng, int layers, int width, double density,
   std::vector<std::vector<NodeId>> grid(layers);
   for (int l = 0; l < layers; ++l) {
     for (int w = 0; w < width; ++w) {
-      grid[l].push_back(
-          db.AddNode("d" + std::to_string(l) + "_" + std::to_string(w)));
+      grid[l].push_back(db.AddNode(GridNodeName('d', l, w)));
     }
   }
   for (int l = 0; l + 1 < layers; ++l) {

@@ -8,7 +8,7 @@
 namespace rpqres {
 
 NodeId GraphDb::AddNode() {
-  return AddNode("n" + std::to_string(num_nodes()));
+  return AddNode(std::string("n").append(std::to_string(num_nodes())));
 }
 
 NodeId GraphDb::AddNode(const std::string& name) {

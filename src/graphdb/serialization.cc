@@ -1,6 +1,8 @@
 #include "graphdb/serialization.h"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "util/strings.h"
 
@@ -77,9 +79,12 @@ Result<GraphDb> ParseGraphDb(const std::string& text) {
       if (token == "exo") {
         exogenous = true;
       } else {
-        try {
-          multiplicity = std::stoll(token);
-        } catch (...) {
+        // The whole token must be the number: no trailing characters
+        // ("7abc", "1e308") and no overflow.
+        const char* end = token.data() + token.size();
+        const auto [stop, code] =
+            std::from_chars(token.data(), end, multiplicity);
+        if (code != std::errc() || stop != end) {
           return error("bad multiplicity '" + token + "'");
         }
         if (multiplicity < 1) return error("multiplicity must be >= 1");

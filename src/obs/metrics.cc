@@ -9,7 +9,7 @@ namespace rpqres::obs {
 namespace {
 
 // Stable per-thread shard index; hashing the thread id once per thread
-// keeps Add() to a single relaxed fetch_add on a thread-private line.
+// keeps Add() to a single fetch_add on a thread-private line.
 int ThisThreadShard() {
   static thread_local const int shard = static_cast<int>(
       std::hash<std::thread::id>{}(std::this_thread::get_id()) %
@@ -20,13 +20,13 @@ int ThisThreadShard() {
 }  // namespace
 
 void ShardedCounter::Add(int64_t delta) {
-  shards_[ThisThreadShard()].value.fetch_add(delta, std::memory_order_relaxed);
+  shards_[ThisThreadShard()].value.fetch_add(delta, std::memory_order_release);
 }
 
 int64_t ShardedCounter::value() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
+    total += shard.value.load(std::memory_order_acquire);
   }
   return total;
 }
@@ -193,10 +193,12 @@ HistogramFamily* MetricsRegistry::Histogram(std::string_view name,
 MetricsSnapshot MetricsRegistry::TakeSnapshot() const {
   MetricsSnapshot snapshot;
   MutexLock lock(mu_);
+  // Newest family first (see the header), then back to creation order.
   snapshot.counters.reserve(counters_.size());
-  for (const auto& family : counters_) {
-    snapshot.counters.push_back(family->TakeSnapshot());
+  for (auto it = counters_.rbegin(); it != counters_.rend(); ++it) {
+    snapshot.counters.push_back((*it)->TakeSnapshot());
   }
+  std::reverse(snapshot.counters.begin(), snapshot.counters.end());
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& family : histograms_) {
     snapshot.histograms.push_back(family->TakeSnapshot());

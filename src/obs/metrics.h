@@ -34,7 +34,9 @@
 namespace rpqres::obs {
 
 /// Monotone counter striped over kShards cachelines. Add() hashes the
-/// calling thread to a shard; value() sums all shards.
+/// calling thread to a shard; value() sums all shards. Add() is a release
+/// and value() an acquire: a reader that sees an Add also sees every
+/// counter the adding thread bumped before it.
 class ShardedCounter {
  public:
   static constexpr int kShards = 8;
@@ -205,7 +207,11 @@ class MetricsRegistry {
   HistogramFamily* Histogram(std::string_view name, std::string_view help,
                              std::string_view label_key) RPQRES_EXCLUDES(mu_);
 
-  /// Snapshot of all families (gauges left empty for the caller).
+  /// Snapshot of all families (gauges left empty for the caller), listed
+  /// in creation order. Counter families are READ newest first, so a
+  /// family created and recorded before another is read after it: when
+  /// every event of family B follows an event of family A on the
+  /// recording thread, create A first and no snapshot shows B above A.
   MetricsSnapshot TakeSnapshot() const RPQRES_EXCLUDES(mu_);
 
   /// Zeroes every cell in every family (families and cells survive, so

@@ -250,11 +250,7 @@ void Router::RecordShed(AdmissionDecision decision, const ServeRequest& serve,
 }
 
 EngineStats Router::engine_stats() const {
-  EngineStats merged;
-  for (int i = 0; i < shards_->num_shards(); ++i) {
-    MergeEngineStats(shards_->engine(i).stats(), &merged);
-  }
-  return merged;
+  return EngineStatsFromSnapshot(TakeMetricsSnapshot(), "all");
 }
 
 RouterStats Router::stats() const {

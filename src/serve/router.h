@@ -17,7 +17,8 @@
 // tree, and the decision is counted in router metrics.
 //
 // The Router also merges the fleet into one view:
-//   * engine_stats()      — field-wise sum of every shard's EngineStats;
+//   * engine_stats()      — EngineStats read from the shard="all" roll-ups
+//     of TakeMetricsSnapshot;
 //   * TakeMetricsSnapshot — every shard's series tagged shard="i" plus
 //     shard="all" roll-ups (obs::MergeShardSnapshots), with the
 //     router's own admission/tenant families appended;
@@ -126,7 +127,8 @@ class Router {
   /// Blocks until no admitted request is in flight.
   void Drain() RPQRES_EXCLUDES(drain_mu_);
 
-  /// Field-wise sum of every shard engine's EngineStats.
+  /// Fleet EngineStats: EngineStatsFromSnapshot(TakeMetricsSnapshot(),
+  /// "all"), the shard="all" roll-ups of every shard engine's counters.
   EngineStats engine_stats() const;
   RouterStats stats() const RPQRES_EXCLUDES(stats_mu_);
 

@@ -1,19 +1,25 @@
 // The engine observability layer end to end: caller-attached trace
 // sinks, the metrics exporter (Prometheus + JSON), disjoint status
 // counters, gauges (caches, slow log, DbRegistry), the slow-query log
-// (threshold, shed requests, wraparound), and ResetStats semantics.
+// (threshold, shed requests, wraparound), ResetStats semantics, and
+// EngineStats as a view: every field equals its exported sample, for one
+// engine and for a 4-shard Router's shard="all" roll-up.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/db_registry.h"
 #include "engine/engine.h"
 #include "engine/request.h"
 #include "obs/trace.h"
+#include "serve/router.h"
+#include "serve/sharded_registry.h"
 #include "util/cancel.h"
 
 namespace rpqres {
@@ -280,6 +286,173 @@ TEST(EngineObservabilityTest, TracingOffStillFeedsRequestHistograms) {
             std::string::npos);
   // Phase histograms need spans, so they stay empty.
   EXPECT_EQ(text.find("rpqres_phase_micros_bucket"), std::string::npos);
+}
+
+/// One exported counter sample, or -1 when the snapshot lacks it.
+int64_t Exported(const obs::MetricsSnapshot& snapshot, std::string_view family,
+                 std::string_view label, std::string_view shard) {
+  for (const obs::CounterFamily::Snapshot& f : snapshot.counters) {
+    if (f.name != family) continue;
+    for (const obs::CounterFamily::Sample& sample : f.samples) {
+      if (sample.label == label && sample.shard == shard) return sample.value;
+    }
+  }
+  return -1;
+}
+
+/// Field by field, against the samples themselves (not through
+/// EngineStatsFromSnapshot, which would compare the view with itself).
+void ExpectViewEqualsExport(const EngineStats& stats,
+                            const obs::MetricsSnapshot& snapshot,
+                            std::string_view shard) {
+  auto status = [&](std::string_view label) {
+    return Exported(snapshot, "rpqres_requests_total", label, shard);
+  };
+  EXPECT_EQ(stats.instances_run, status("ok") + status("error") +
+                                     status("deadline_exceeded") +
+                                     status("cancelled"));
+  EXPECT_EQ(stats.errors,
+            status("error") + status("deadline_exceeded") + status("cancelled"));
+  EXPECT_EQ(stats.deadline_exceeded, status("deadline_exceeded"));
+  EXPECT_EQ(stats.cancelled, status("cancelled"));
+
+  auto plan = [&](std::string_view label) {
+    return Exported(snapshot, "rpqres_plan_cache_events_total", label, shard);
+  };
+  EXPECT_EQ(stats.cache_hits, plan("hit"));
+  EXPECT_EQ(stats.cache_misses, plan("miss"));
+  EXPECT_EQ(stats.cache_evictions, plan("eviction"));
+
+  auto result = [&](std::string_view label) {
+    return Exported(snapshot, "rpqres_result_cache_events_total", label, shard);
+  };
+  EXPECT_EQ(stats.result_cache_hits, result("hit"));
+  EXPECT_EQ(stats.result_cache_misses, result("miss"));
+  EXPECT_EQ(stats.result_cache_evictions, result("eviction"));
+  EXPECT_EQ(stats.result_cache_invalidations, result("invalidation"));
+
+  auto event = [&](std::string_view label) {
+    return Exported(snapshot, "rpqres_engine_events_total", label, shard);
+  };
+  EXPECT_EQ(stats.batches_run, event("batch"));
+  EXPECT_EQ(stats.compilations, event("compilation"));
+  EXPECT_EQ(stats.differentials_run, event("differential"));
+  EXPECT_EQ(stats.differential_mismatches, event("differential_mismatch"));
+  EXPECT_EQ(stats.submits, event("submit"));
+
+  std::map<std::string, int64_t> by_algorithm;
+  for (const obs::CounterFamily::Snapshot& f : snapshot.counters) {
+    if (f.name != "rpqres_requests_by_algorithm_total") continue;
+    for (const obs::CounterFamily::Sample& sample : f.samples) {
+      if (sample.shard == shard && sample.value > 0) {
+        by_algorithm[sample.label] = sample.value;
+      }
+    }
+  }
+  EXPECT_EQ(stats.instances_by_algorithm, by_algorithm);
+}
+
+/// Two-entry plan and result caches, so three queries evict from both.
+EngineOptions TinyCaches() {
+  EngineOptions options;
+  options.num_threads = 2;
+  options.plan_cache_capacity = 2;
+  options.result_cache_capacity = 2;
+  return options;
+}
+
+/// Drives every EngineStats counter except differential_mismatches.
+void ExerciseEveryCounter(ResilienceEngine& engine, DbRegistry& registry) {
+  DbHandle db = registry.Register(LayerDb(), "hot");
+  // Plan and result miss, then plan and result hit.
+  ASSERT_TRUE(engine.Evaluate({.regex = "ax*b", .db = db}).status.ok());
+  ASSERT_TRUE(engine.Evaluate({.regex = "ax*b", .db = db}).status.ok());
+  // Two more queries overflow both two-entry caches.
+  ASSERT_TRUE(engine.Evaluate({.regex = "ab", .db = db}).status.ok());
+  ASSERT_TRUE(engine.Evaluate({.regex = "a", .db = db}).status.ok());
+  EXPECT_GT(engine.InvalidateResults(db.lineage()), 0);
+  // An error, a deadline shed and a cancellation.
+  EXPECT_FALSE(engine.Evaluate({.regex = "ax*b"}).status.ok());
+  ResilienceRequest late{.regex = "ax*b", .db = db};
+  late.options.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  EXPECT_EQ(engine.Evaluate(late).status.code(), StatusCode::kDeadlineExceeded);
+  auto token = std::make_shared<CancelToken>();
+  token->RequestCancel();
+  ResilienceRequest cancelled{.regex = "ax*b", .db = db};
+  cancelled.options.cancel = token;
+  EXPECT_EQ(engine.Evaluate(cancelled).status.code(), StatusCode::kCancelled);
+  // A batch, a differential batch and an async submit.
+  std::vector<ResilienceRequest> batch = {{.regex = "ab", .db = db},
+                                          {.regex = "ax*b", .db = db}};
+  engine.EvaluateBatch(batch);
+  engine.EvaluateDifferential(batch);
+  EXPECT_TRUE(engine.Submit({.regex = "ab", .db = db}).get().status.ok());
+}
+
+void ExpectEveryCounterExercised(const EngineStats& stats) {
+  EXPECT_GT(stats.cache_hits, 0);
+  EXPECT_GT(stats.cache_misses, 0);
+  EXPECT_GT(stats.cache_evictions, 0);
+  EXPECT_GT(stats.result_cache_hits, 0);
+  EXPECT_GT(stats.result_cache_misses, 0);
+  EXPECT_GT(stats.result_cache_evictions, 0);
+  EXPECT_GT(stats.result_cache_invalidations, 0);
+  EXPECT_GT(stats.deadline_exceeded, 0);
+  EXPECT_GT(stats.cancelled, 0);
+  EXPECT_GT(stats.errors, stats.deadline_exceeded + stats.cancelled);
+  EXPECT_GT(stats.batches_run, 0);
+  EXPECT_GT(stats.compilations, 0);
+  EXPECT_GT(stats.differentials_run, 0);
+  EXPECT_GT(stats.submits, 0);
+  EXPECT_FALSE(stats.instances_by_algorithm.empty());
+}
+
+TEST(EngineObservabilityTest, StatsViewEqualsExportedSamples) {
+  DbRegistry registry;
+  ResilienceEngine engine(TinyCaches());
+  ExerciseEveryCounter(engine, registry);
+
+  const EngineStats stats = engine.stats();
+  ExpectEveryCounterExercised(stats);
+  ExpectViewEqualsExport(stats, engine.TakeMetricsSnapshot(), "");
+}
+
+TEST(EngineObservabilityTest, RouterStatsViewEqualsAllRollup) {
+  serve::ShardedRegistry shards(4, TinyCaches());
+  serve::Router router(&shards);
+  for (int i = 0; i < shards.num_shards(); ++i) {
+    ExerciseEveryCounter(shards.engine(i), shards.registry(i));
+  }
+  shards.Register(LayerDb(), "routed");
+  ASSERT_TRUE(router.Submit({"tenant", {.regex = "ax*b", .db_ref = "routed@latest"}})
+                  .get()
+                  .status.ok());
+  router.Drain();
+
+  const EngineStats stats = router.engine_stats();
+  ExpectEveryCounterExercised(stats);
+  ExpectViewEqualsExport(stats, router.TakeMetricsSnapshot(), "all");
+}
+
+TEST(EngineObservabilityTest, ResetAlgorithmLabelsLeaveTheView) {
+  DbRegistry registry;
+  ResilienceEngine engine;
+  DbHandle db = registry.Register(LayerDb(), "hot");
+  ResilienceResponse response = engine.Evaluate({.regex = "ax*b", .db = db});
+  ASSERT_TRUE(response.status.ok());
+  const std::string algorithm = response.stats.algorithm;
+
+  engine.ResetStats();
+  // The label survives the reset at 0 in the export, but not in the view.
+  EXPECT_EQ(Exported(engine.TakeMetricsSnapshot(),
+                     "rpqres_requests_by_algorithm_total", algorithm, ""),
+            0);
+  EXPECT_TRUE(engine.stats().instances_by_algorithm.empty());
+
+  ASSERT_TRUE(engine.Evaluate({.regex = "ax*b", .db = db}).status.ok());
+  EXPECT_EQ(engine.stats().instances_by_algorithm,
+            (std::map<std::string, int64_t>{{algorithm, 1}}));
 }
 
 }  // namespace

@@ -40,8 +40,12 @@ u b t exo
 }
 
 TEST(SerializationTest, ParseErrors) {
+  // The last three once parsed as a prefix (1e308 as 1, 7abc as 7) or
+  // past INT64_MAX.
   for (const char* bad : {"u a", "u ab v", "u a v 0", "u a v -3",
-                          "u a v three", "u a v 2 what", "u a v 2 exo x"}) {
+                          "u a v three", "u a v 2 what", "u a v 2 exo x",
+                          "u a v 1e308", "u a v 7abc",
+                          "u a v 9223372036854775808"}) {
     Result<GraphDb> db = ParseGraphDb(bad);
     EXPECT_FALSE(db.ok()) << bad;
     EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument) << bad;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "engine/compiled_query.h"
 #include "regex/ast.h"
 #include "regex/parser.h"
 
@@ -90,6 +93,31 @@ TEST(RegexParserTest, RejectsBadInput) {
 TEST(RegexParserTest, DoubleStarAllowed) {
   // a** parses as (a*)* — harmless.
   EXPECT_TRUE(ParseRegex("a**").ok());
+}
+
+TEST(RegexParserTest, DepthIsBoundedAtParseTime) {
+  auto nested = [](int groups, int stars) {
+    return std::string(groups, '(') + "a" + std::string(groups, ')') +
+           std::string(stars, '*');
+  };
+  const int half = kMaxRegexDepth / 2;
+  // Exactly at the limit: parse and compile.
+  for (const std::string& at_limit :
+       {nested(kMaxRegexDepth, 0), nested(0, kMaxRegexDepth),
+        nested(half, kMaxRegexDepth - half)}) {
+    EXPECT_TRUE(ParseRegex(at_limit).ok());
+    EXPECT_TRUE(CompileQuery(at_limit, Semantics::kSet).ok());
+  }
+  // One past it, and the inputs that once overflowed the stack: 10 000
+  // nested groups in ParseRegex, 100 000 stacked stars in CompileQuery.
+  for (const std::string& too_deep :
+       {nested(kMaxRegexDepth + 1, 0), nested(0, kMaxRegexDepth + 1),
+        nested(half, kMaxRegexDepth - half + 1), nested(10'000, 0)}) {
+    EXPECT_EQ(ParseRegex(too_deep).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(CompileQuery(nested(0, 100'000), Semantics::kSet).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -168,7 +168,16 @@ TEST(ServeRouterTest, MergedStatsAndMetricsAreExactSums) {
   EngineStats merged = router.engine_stats();
   EngineStats manual;
   for (int i = 0; i < shards.num_shards(); ++i) {
-    MergeEngineStats(shards.engine(i).stats(), &manual);
+    const EngineStats shard = shards.engine(i).stats();
+    manual.instances_run += shard.instances_run;
+    manual.submits += shard.submits;
+    manual.compilations += shard.compilations;
+    manual.errors += shard.errors;
+    manual.cache_hits += shard.cache_hits;
+    manual.cache_misses += shard.cache_misses;
+    for (const auto& [algorithm, count] : shard.instances_by_algorithm) {
+      manual.instances_by_algorithm[algorithm] += count;
+    }
   }
   EXPECT_EQ(merged.instances_run, manual.instances_run);
   EXPECT_EQ(merged.submits, manual.submits);
