@@ -4,12 +4,9 @@
 #include <map>
 
 #include "gadgets/chain_cycle.h"
-#include "lang/chain.h"
 #include "lang/four_legged.h"
 #include "lang/infix_free.h"
-#include "lang/local.h"
 #include "lang/neutral_letter.h"
-#include "lang/one_dangling.h"
 #include "lang/repeated_letter.h"
 #include "lang/star_free.h"
 #include "util/strings.h"
@@ -104,12 +101,14 @@ bool MatchesUpToRenaming(std::vector<std::string> words,
 
 Result<Classification> ClassifyResilience(const Language& lang,
                                           int max_word_length) {
-  return ClassifyResilienceWithIF(lang, InfixFreeSublanguage(lang),
+  Language ifl = InfixFreeSublanguage(lang);
+  return ClassifyResilienceWithIF(lang, ifl, FindTractableForm(ifl),
                                   max_word_length);
 }
 
 Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const Language& ifl,
+                                                const TractableForm& form,
                                                 int max_word_length) {
   Classification out;
   out.finite = ifl.IsFinite();
@@ -137,30 +136,31 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
   }
 
   // --- PTIME side -----------------------------------------------------------
-  if (IsLocal(ifl)) {
-    out.complexity = ComplexityClass::kPtime;
-    out.rule = "local language (Thm 3.13)";
-    out.detail = "RO-εNFA product with D, then MinCut";
-    return out;
-  }
-  if (IsBipartiteChainLanguage(ifl)) {
-    out.complexity = ComplexityClass::kPtime;
-    out.rule = "bipartite chain language (Prp 7.6)";
-    out.detail = "per-fact flow network with forward/reversed word wiring";
-    return out;
-  }
-  if (IsOneDanglingOrMirror(ifl)) {
-    std::optional<OneDanglingDecomposition> decomposition =
-        FindOneDanglingDecomposition(ifl);
-    bool mirrored = !decomposition.has_value();
-    if (mirrored) decomposition = FindOneDanglingDecomposition(ifl.Mirror());
-    out.complexity = ComplexityClass::kPtime;
-    out.rule = "one-dangling language (Prp 7.9)";
-    out.detail = std::string(mirrored ? "mirror of L = " : "L = ") +
-                 decomposition->base.description() + " ∪ {" +
-                 std::string(1, decomposition->x) +
-                 std::string(1, decomposition->y) + "}";
-    return out;
+  switch (form.kind) {
+    case TractableKind::kLocal:
+      out.complexity = ComplexityClass::kPtime;
+      out.rule = "local language (Thm 3.13)";
+      out.detail = "RO-εNFA product with D, then MinCut";
+      return out;
+    case TractableKind::kBipartiteChain:
+      out.complexity = ComplexityClass::kPtime;
+      out.rule = "bipartite chain language (Prp 7.6)";
+      out.detail = "per-fact flow network with forward/reversed word wiring";
+      return out;
+    case TractableKind::kOneDangling: {
+      const OneDanglingDecomposition& decomposition =
+          form.one_dangling->decomposition;
+      out.complexity = ComplexityClass::kPtime;
+      out.rule = "one-dangling language (Prp 7.9)";
+      out.detail =
+          std::string(form.one_dangling->mirrored ? "mirror of L = " : "L = ") +
+          decomposition.base.description() + " ∪ {" +
+          std::string(1, decomposition.x) + std::string(1, decomposition.y) +
+          "}";
+      return out;
+    }
+    case TractableKind::kNone:
+      break;
   }
 
   // --- NP-hard side ---------------------------------------------------------

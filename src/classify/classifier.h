@@ -16,6 +16,7 @@
 #include <string>
 
 #include "lang/language.h"
+#include "lang/tractable.h"
 #include "util/status.h"
 
 namespace rpqres {
@@ -46,11 +47,14 @@ Result<Classification> ClassifyResilience(const Language& lang,
                                           int max_word_length = 12);
 
 /// Like ClassifyResilience, but takes the precomputed infix-free
-/// sublanguage IF(L) instead of rederiving it — the reusable entry point
-/// for compiled query plans (src/engine/). `lang` is still needed: the
-/// neutral-letter test (Prp 5.7) is a property of L itself.
+/// sublanguage IF(L) and its PTIME verdict FindTractableForm(IF(L))
+/// instead of rederiving them — the entry point for compiled query plans
+/// (src/engine/), which hand the same form to the planner. `lang` is
+/// still needed: the neutral-letter test (Prp 5.7) is a property of L
+/// itself.
 Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const Language& ifl,
+                                                const TractableForm& form,
                                                 int max_word_length = 12);
 
 /// One-line report: "<regex>: <class> — <rule> (<detail>)".

@@ -5,6 +5,7 @@
 
 #include "lang/infix_free.h"
 #include "lang/ro_enfa.h"
+#include "lang/tractable.h"
 
 namespace rpqres {
 
@@ -15,14 +16,18 @@ Result<std::shared_ptr<const CompiledQuery>> CompileQuery(
 
   RPQRES_ASSIGN_OR_RETURN(Language language,
                           Language::FromRegexString(regex));
+  // IF(L) and its PTIME verdict are derived once and shared by the
+  // classifier and the planner.
   Language ifl = InfixFreeSublanguage(language);
-  RPQRES_ASSIGN_OR_RETURN(
-      Classification classification,
-      ClassifyResilienceWithIF(language, ifl, options.max_word_length));
+  TractableForm form = FindTractableForm(ifl);
+  RPQRES_ASSIGN_OR_RETURN(Classification classification,
+                          ClassifyResilienceWithIF(language, ifl, form,
+                                                   options.max_word_length));
   ResilienceOptions plan_options;
   plan_options.allow_exponential = options.allow_exponential;
-  RPQRES_ASSIGN_OR_RETURN(ResiliencePlan plan,
-                          PlanResilienceWithIF(std::move(ifl), plan_options));
+  RPQRES_ASSIGN_OR_RETURN(
+      ResiliencePlan plan,
+      PlanResilienceWithIF(std::move(ifl), form, plan_options));
 
   auto compiled = std::make_shared<CompiledQuery>(CompiledQuery{
       regex, semantics, std::move(language), std::move(classification),

@@ -4,8 +4,9 @@
 // regex is asked against many graphs (or many versions of one graph).
 // CompileQuery front-loads every per-query cost — parse, ε-NFA,
 // determinization + minimization, IF(L), the Figure 1 classification, the
-// solver choice, and (for local languages) the RO-εNFA — into an immutable
-// CompiledQuery that ComputeResilienceWithPlan executes per database.
+// solver choice, and the chosen solver's preparation (ResiliencePlan) —
+// into an immutable CompiledQuery that ComputeResilienceWithPlan executes
+// per database.
 
 #ifndef RPQRES_ENGINE_COMPILED_QUERY_H_
 #define RPQRES_ENGINE_COMPILED_QUERY_H_
@@ -45,7 +46,10 @@ struct CompiledQuery {
   Language language;
   /// The Figure 1 complexity verdict for IF(L), with its justifying rule.
   Classification classification;
-  /// The executable dispatch plan: IF(L), chosen solver, RO-εNFA tables.
+  /// The executable dispatch plan: IF(L), the chosen solver, and its
+  /// prepared data — RO-εNFA tables (local), forced letters, words and
+  /// endpoint sides (BCL), orientation, fresh letter and rewritten-base
+  /// tables (one-dangling); the exact solver searches IF(L) as is.
   ResiliencePlan plan;
   /// Solver tables for the RO-εNFA of the *original* language L (not
   /// IF(L) — the IF rewrite is unsound with fixed endpoints), present iff

@@ -52,10 +52,4 @@ void PlanCache::ResetStats() {
   stats_ = Stats{};
 }
 
-void PlanCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 }  // namespace rpqres

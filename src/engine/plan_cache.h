@@ -50,8 +50,6 @@ class PlanCache {
   size_t capacity() const { return capacity_; }
   Stats stats() const RPQRES_EXCLUDES(mu_);
   void ResetStats() RPQRES_EXCLUDES(mu_);
-  /// Drops all entries (stats are kept).
-  void Clear() RPQRES_EXCLUDES(mu_);
 
  private:
   using Key = std::pair<std::string, Semantics>;

@@ -110,11 +110,4 @@ size_t ResultCache::size_bytes() const {
   return bytes_;
 }
 
-void ResultCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-}
-
 }  // namespace rpqres

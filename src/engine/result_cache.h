@@ -95,7 +95,6 @@ class ResultCache {
   size_t size() const RPQRES_EXCLUDES(mu_);
   /// Accounted bytes across all retained entries (the cache-bytes gauge).
   size_t size_bytes() const RPQRES_EXCLUDES(mu_);
-  void Clear() RPQRES_EXCLUDES(mu_);
 
  private:
   struct Entry {

@@ -23,7 +23,10 @@ size_t SolverScratch::total_capacity_bytes() const {
          VectorBytes(bwd_queue) + VectorBytes(live_list) +
          VectorBytes(candidate_facts) + VectorBytes(start_of) +
          VectorBytes(end_of) + VectorBytes(label_bucket_offset) +
-         VectorBytes(label_bucket);
+         VectorBytes(label_bucket) + VectorBytes(node_bucket_offset) +
+         VectorBytes(node_bucket) + VectorBytes(node_bucket_cursor) +
+         VectorBytes(x_in_cost) + VectorBytes(y_out_cost) +
+         VectorBytes(in_node) + VectorBytes(in_origin) + VectorBytes(fact_cut);
 }
 
 }  // namespace rpqres

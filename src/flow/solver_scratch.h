@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "flow/capacity.h"
 #include "flow/residual_graph.h"
 
 namespace rpqres {
@@ -143,6 +144,14 @@ class SolverScratch {
   std::vector<int32_t> node_bucket_offset;  // size num_nodes + 1
   std::vector<int32_t> node_bucket;
   std::vector<int32_t> node_bucket_cursor;  // counting-sort fill cursors
+
+  // --- one-dangling rewrite state (Prp 7.9) --------------------------------
+  /// Per database node: total cost of x-facts into it / y-facts out of it.
+  std::vector<Capacity> x_in_cost, y_out_cost;
+  /// Database node -> its (v,in) node of the rewrite, or -1; and back.
+  std::vector<int32_t> in_node, in_origin;
+  /// Per rewritten fact: whether the minimum cut took it.
+  std::vector<uint8_t> fact_cut;
 
   /// Test-only knob: emit the full (unpruned) product network. The pruned
   /// and unpruned constructions must produce identical cut values — the

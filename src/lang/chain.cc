@@ -106,11 +106,25 @@ std::optional<std::map<char, int>> BipartitionEndpointGraph(
   return color;
 }
 
-bool IsBipartiteChainLanguage(const Language& lang) {
+Result<BipartiteChain> AnalyzeBipartiteChain(const Language& lang) {
   ChainAnalysis analysis = AnalyzeChain(lang);
-  if (!analysis.is_chain) return false;
-  EndpointGraph graph = BuildEndpointGraph(analysis.words);
-  return BipartitionEndpointGraph(graph).has_value();
+  if (!analysis.is_chain) {
+    return Status::FailedPrecondition(lang.description() +
+                                      " is not a chain language: " +
+                                      analysis.violation);
+  }
+  std::optional<std::map<char, int>> coloring =
+      BipartitionEndpointGraph(BuildEndpointGraph(analysis.words));
+  if (!coloring) {
+    return Status::FailedPrecondition("the endpoint graph of " +
+                                      lang.description() +
+                                      " is not bipartite");
+  }
+  return BipartiteChain{std::move(analysis.words), *std::move(coloring)};
+}
+
+bool IsBipartiteChainLanguage(const Language& lang) {
+  return AnalyzeBipartiteChain(lang).ok();
 }
 
 }  // namespace rpqres

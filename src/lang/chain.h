@@ -50,6 +50,17 @@ EndpointGraph BuildEndpointGraph(const std::vector<std::string>& words);
 std::optional<std::map<char, int>> BipartitionEndpointGraph(
     const EndpointGraph& graph);
 
+/// A bipartite chain language (Def 7.2) with the data Prp 7.6 wires its
+/// flow network from: the explicit words and the endpoint 2-coloring.
+struct BipartiteChain {
+  std::vector<std::string> words;
+  std::map<char, int> coloring;  ///< BipartitionEndpointGraph's colors
+};
+
+/// The words and endpoint coloring of L when L is a bipartite chain
+/// language; FailedPrecondition naming the violated condition otherwise.
+Result<BipartiteChain> AnalyzeBipartiteChain(const Language& lang);
+
 /// True iff L is a bipartite chain language (Def 7.2).
 bool IsBipartiteChainLanguage(const Language& lang);
 

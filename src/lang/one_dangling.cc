@@ -34,9 +34,21 @@ std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
   return std::nullopt;
 }
 
+std::optional<OrientedOneDangling> FindOrientedOneDangling(
+    const Language& lang) {
+  if (std::optional<OneDanglingDecomposition> direct =
+          FindOneDanglingDecomposition(lang)) {
+    return OrientedOneDangling{*std::move(direct), /*mirrored=*/false};
+  }
+  if (std::optional<OneDanglingDecomposition> mirrored =
+          FindOneDanglingDecomposition(lang.Mirror())) {
+    return OrientedOneDangling{*std::move(mirrored), /*mirrored=*/true};
+  }
+  return std::nullopt;
+}
+
 bool IsOneDanglingOrMirror(const Language& lang) {
-  if (FindOneDanglingDecomposition(lang)) return true;
-  return FindOneDanglingDecomposition(lang.Mirror()).has_value();
+  return FindOrientedOneDangling(lang).has_value();
 }
 
 }  // namespace rpqres

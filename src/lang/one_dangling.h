@@ -28,12 +28,23 @@ struct OneDanglingDecomposition {
 /// occur in L \ {xy}. Returns nullopt if none exists.
 ///
 /// Note this analyzes L as given; Prp 6.3 lets callers also try Mirror(L)
-/// (the resilience solver does so internally for the y ∈ Σ case).
+/// (FindOrientedOneDangling below).
 std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
     const Language& lang);
 
-/// True iff L or its mirror admits a one-dangling decomposition; both
-/// directions are PTIME for resilience via Prp 7.9 + Prp 6.3.
+/// A one-dangling decomposition of L itself or, when `mirrored`, of
+/// mirror(L); both directions are PTIME for resilience via Prp 7.9 +
+/// Prp 6.3.
+struct OrientedOneDangling {
+  OneDanglingDecomposition decomposition;
+  bool mirrored = false;
+};
+
+/// Tries L, then mirror(L); nullopt when neither is one-dangling.
+std::optional<OrientedOneDangling> FindOrientedOneDangling(
+    const Language& lang);
+
+/// True iff L or its mirror admits a one-dangling decomposition.
 bool IsOneDanglingOrMirror(const Language& lang);
 
 }  // namespace rpqres

@@ -2,53 +2,80 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <optional>
 #include <span>
 
 #include "flow/residual_graph.h"
 #include "flow/solver_scratch.h"
-#include "lang/chain.h"
 #include "lang/infix_free.h"
 #include "util/check.h"
 
 namespace rpqres {
+namespace {
+
+constexpr const char* kAlgorithm = "bipartite chain flow (Prp 7.6)";
+
+}  // namespace
+
+BclPlan PrepareBclPlan(const BipartiteChain& chain) {
+  BclPlan plan;
+  // Preprocessing (proof of Prp 7.6): single-letter words force the removal
+  // of every fact with that label. In the infix-free language, such a
+  // letter occurs in no other word, so those facts are inert afterwards.
+  for (const std::string& w : chain.words) {
+    RPQRES_CHECK(!w.empty());  // ε ∈ IF(L) is answered before planning
+    if (w.size() == 1) {
+      plan.forced_label[static_cast<unsigned char>(w[0])] = true;
+    } else {
+      plan.long_words.push_back(w);
+    }
+  }
+  // Letters relevant to matches of the long words, and endpoint letters
+  // with their partition side (Def 7.2) — all flat 256-entry tables.
+  plan.endpoint_side.fill(-1);
+  for (const std::string& w : plan.long_words) {
+    for (char c : w) plan.relevant_label[static_cast<unsigned char>(c)] = true;
+    for (char end : {w.front(), w.back()}) {
+      plan.endpoint_side[static_cast<unsigned char>(end)] =
+          static_cast<int16_t>(chain.coloring.at(end));
+    }
+  }
+  return plan;
+}
 
 Result<ResilienceResult> SolveBclResilience(const Language& lang,
                                             const GraphDb& db,
                                             Semantics semantics,
                                             const LabelIndex* label_index,
                                             SolverScratch* scratch) {
-  if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
-  ResilienceResult result;
-  result.algorithm = "bipartite chain flow (Prp 7.6)";
-
   // Work on IF(L) (same query; BCL-ness is preserved by IF, Lem 7.5).
   Language ifl = InfixFreeSublanguage(lang);
   if (ifl.ContainsEpsilon()) {
+    ResilienceResult result;
+    result.algorithm = kAlgorithm;
     result.infinite = true;
     return result;
   }
-  ChainAnalysis chain = AnalyzeChain(ifl);
-  if (!chain.is_chain) {
-    return Status::FailedPrecondition(
-        "SolveBclResilience: IF(" + lang.description() +
-        ") is not a chain language: " + chain.violation);
+  Result<BipartiteChain> chain = AnalyzeBipartiteChain(ifl);
+  if (!chain.ok()) {
+    return Status::FailedPrecondition("SolveBclResilience: " +
+                                      chain.status().message());
   }
+  return SolveBclResilienceWithPlan(PrepareBclPlan(*chain), db, semantics,
+                                    label_index, scratch);
+}
 
-  // Preprocessing (proof of Prp 7.6): single-letter words force the removal
-  // of every fact with that label. In the infix-free language, such a
-  // letter occurs in no other word, so those facts are inert afterwards.
-  std::array<bool, 256> forced_label{};
-  std::vector<std::string> long_words;
-  for (const std::string& w : chain.words) {
-    RPQRES_CHECK(!w.empty());  // ε was handled above
-    if (w.size() == 1) {
-      forced_label[static_cast<unsigned char>(w[0])] = true;
-    } else {
-      long_words.push_back(w);
-    }
-  }
+ResilienceResult SolveBclResilienceWithPlan(const BclPlan& plan,
+                                            const GraphDb& db,
+                                            Semantics semantics,
+                                            const LabelIndex* label_index,
+                                            SolverScratch* scratch) {
+  if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
+  ResilienceResult result;
+  result.algorithm = kAlgorithm;
+  const auto& forced_label = plan.forced_label;
+  const auto& relevant_label = plan.relevant_label;
+  const auto& endpoint_side = plan.endpoint_side;
+
   Capacity forced_cost = 0;
   auto force_fact = [&](FactId f) -> bool {  // false: unfalsifiable
     if (db.IsExogenous(f)) return false;
@@ -81,36 +108,10 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
     }
   }
 
-  // Bipartition of the endpoint graph (Def 7.2): 0 = source partition,
-  // 1 = target partition.
-  EndpointGraph endpoint_graph = BuildEndpointGraph(long_words);
-  std::optional<std::map<char, int>> coloring =
-      BipartitionEndpointGraph(endpoint_graph);
-  if (!coloring) {
-    return Status::FailedPrecondition(
-        "SolveBclResilience: the endpoint graph of IF(" + lang.description() +
-        ") is not bipartite");
-  }
-
-  if (long_words.empty()) {
+  if (plan.long_words.empty()) {
     result.value = forced_cost;
     std::sort(result.contingency.begin(), result.contingency.end());
     return result;
-  }
-
-  // Letters relevant to matches of the long words, and endpoint letters
-  // with their partition side — all flat 256-entry tables.
-  std::array<bool, 256> relevant_label{};
-  for (const std::string& w : long_words) {
-    for (char c : w) relevant_label[static_cast<unsigned char>(c)] = true;
-  }
-  std::array<int16_t, 256> endpoint_side;  // -1: not an endpoint letter
-  endpoint_side.fill(-1);
-  for (const std::string& w : long_words) {
-    endpoint_side[static_cast<unsigned char>(w.front())] =
-        static_cast<int16_t>(coloring->at(w.front()));
-    endpoint_side[static_cast<unsigned char>(w.back())] =
-        static_cast<int16_t>(coloring->at(w.back()));
   }
 
   // Network: one start/end vertex pair and one finite fact edge per
@@ -206,8 +207,9 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
       node_bucket[node_bucket_cursor[db.fact(f).source]++] = f;
     }
   };
-  for (const std::string& w : long_words) {
-    bool forward = coloring->at(w.front()) == 0;
+  for (const std::string& w : plan.long_words) {
+    const bool forward =
+        endpoint_side[static_cast<unsigned char>(w.front())] == 0;
     for (size_t i = 0; i + 1 < w.size(); ++i) {
       const char c2 = w[i + 1];
       if (label_index == nullptr) bucket_by_source(c2);

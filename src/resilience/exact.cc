@@ -137,10 +137,15 @@ Result<ResilienceResult> SolveExactResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics,
                                               const ExactOptions& options) {
+  return SolveExactResilienceWithIF(InfixFreeSublanguage(lang), db, semantics,
+                                    options);
+}
+
+Result<ResilienceResult> SolveExactResilienceWithIF(
+    const Language& ifl, const GraphDb& db, Semantics semantics,
+    const ExactOptions& options) {
   ResilienceResult result;
   result.algorithm = "exact branch & bound";
-  // Work on IF(L): same query, shorter witness matches.
-  Language ifl = InfixFreeSublanguage(lang);
   if (ifl.ContainsEpsilon()) {
     result.infinite = true;
     return result;

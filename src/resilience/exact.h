@@ -35,10 +35,17 @@ struct ExactOptions {
 };
 
 /// Exact resilience for an arbitrary regular language (exponential time).
+/// Searches over IF(L) (same query, shorter witness matches).
 Result<ResilienceResult> SolveExactResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics,
                                               const ExactOptions& options = {});
+
+/// SolveExactResilience for a language that is already infix-free — a
+/// plan's IF(L) — without deriving IF again.
+Result<ResilienceResult> SolveExactResilienceWithIF(
+    const Language& ifl, const GraphDb& db, Semantics semantics,
+    const ExactOptions& options = {});
 
 /// All-subsets brute force; requires db.num_facts() <= max_facts (<= 24).
 Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,

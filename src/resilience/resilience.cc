@@ -4,34 +4,32 @@
 
 #include "flow/solver_scratch.h"
 #include "graphdb/rpq_eval.h"
-#include "lang/chain.h"
 #include "lang/infix_free.h"
-#include "lang/local.h"
-#include "lang/one_dangling.h"
 #include "lang/ro_enfa.h"
 #include "obs/trace.h"
-#include "resilience/bcl_resilience.h"
-#include "resilience/exact.h"
 #include "resilience/local_resilience.h"
-#include "resilience/one_dangling_resilience.h"
 
 namespace rpqres {
 
 Result<ResiliencePlan> PlanResilience(const Language& lang,
                                       const ResilienceOptions& options) {
-  return PlanResilienceWithIF(InfixFreeSublanguage(lang), options);
+  Language ifl = InfixFreeSublanguage(lang);
+  TractableForm form = FindTractableForm(ifl);
+  return PlanResilienceWithIF(std::move(ifl), form, options);
 }
 
 Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
+                                            const TractableForm& form,
                                             const ResilienceOptions& options) {
   if (options.method != ResilienceMethod::kAuto) {
     return Status::InvalidArgument(
         "PlanResilience plans the kAuto dispatch; to force a solver, call "
         "ComputeResilience with that method directly");
   }
-  ResiliencePlan plan{std::move(ifl), ResilienceMethod::kExact,
+  ResiliencePlan plan{std::move(ifl),          ResilienceMethod::kExact,
                       /*trivial_infinite=*/false, /*trivial_empty=*/false,
-                      /*ro_enfa=*/std::nullopt, /*ro_tables=*/std::nullopt};
+                      /*ro_enfa=*/std::nullopt,  /*ro_tables=*/std::nullopt,
+                      /*bcl=*/std::nullopt,      /*one_dangling=*/std::nullopt};
   if (plan.if_language.ContainsEpsilon()) {
     plan.trivial_infinite = true;
     return plan;
@@ -40,20 +38,26 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
     plan.trivial_empty = true;
     return plan;
   }
-  if (IsLocal(plan.if_language)) {
-    plan.method = ResilienceMethod::kLocalFlow;
-    RPQRES_ASSIGN_OR_RETURN(plan.ro_enfa, BuildRoEnfa(plan.if_language));
-    RPQRES_ASSIGN_OR_RETURN(plan.ro_tables,
-                            BuildRoProductTables(*plan.ro_enfa));
-    return plan;
-  }
-  if (IsBipartiteChainLanguage(plan.if_language)) {
-    plan.method = ResilienceMethod::kBclFlow;
-    return plan;
-  }
-  if (IsOneDanglingOrMirror(plan.if_language)) {
-    plan.method = ResilienceMethod::kOneDanglingFlow;
-    return plan;
+  switch (form.kind) {
+    case TractableKind::kLocal: {
+      plan.method = ResilienceMethod::kLocalFlow;
+      RPQRES_ASSIGN_OR_RETURN(plan.ro_enfa, BuildRoEnfa(plan.if_language));
+      RPQRES_ASSIGN_OR_RETURN(plan.ro_tables,
+                              BuildRoProductTables(*plan.ro_enfa));
+      return plan;
+    }
+    case TractableKind::kBipartiteChain:
+      plan.method = ResilienceMethod::kBclFlow;
+      plan.bcl = PrepareBclPlan(*form.chain);
+      return plan;
+    case TractableKind::kOneDangling: {
+      plan.method = ResilienceMethod::kOneDanglingFlow;
+      RPQRES_ASSIGN_OR_RETURN(plan.one_dangling,
+                              PrepareOneDanglingPlan(*form.one_dangling));
+      return plan;
+    }
+    case TractableKind::kNone:
+      break;
   }
   if (!options.allow_exponential) {
     return Status::Unimplemented(
@@ -81,35 +85,34 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
   }
   switch (plan.method) {
     case ResilienceMethod::kLocalFlow:
-      if (plan.ro_tables.has_value()) {
-        return SolveLocalResilienceWithTables(*plan.ro_tables, db, semantics,
-                                              label_index, scratch);
-      }
-      if (plan.ro_enfa.has_value()) {
-        return SolveLocalResilienceWithRoEnfa(*plan.ro_enfa, db, semantics,
-                                              label_index, scratch);
-      }
-      return SolveLocalResilience(plan.if_language, db, semantics);
+      if (!plan.ro_tables) break;
+      return SolveLocalResilienceWithTables(*plan.ro_tables, db, semantics,
+                                            label_index, scratch);
     case ResilienceMethod::kBclFlow:
-      return SolveBclResilience(plan.if_language, db, semantics, label_index,
-                                scratch);
+      if (!plan.bcl) break;
+      return SolveBclResilienceWithPlan(*plan.bcl, db, semantics, label_index,
+                                        scratch);
     case ResilienceMethod::kOneDanglingFlow:
-      return SolveOneDanglingResilience(plan.if_language, db, semantics,
-                                        label_index, scratch);
+      if (!plan.one_dangling) break;
+      return SolveOneDanglingResilienceWithPlan(*plan.one_dangling, db,
+                                                semantics, label_index,
+                                                scratch);
     case ResilienceMethod::kExact: {
       // The branch & bound does not take a scratch; bracket it here so
       // the trace still attributes the (potentially exponential) time.
       obs::ScopedSpan span(scratch != nullptr ? scratch->trace : nullptr,
                            obs::SpanKind::kExactSearch);
-      return SolveExactResilience(plan.if_language, db, semantics,
-                                  exact_options);
+      return SolveExactResilienceWithIF(plan.if_language, db, semantics,
+                                        exact_options);
     }
     case ResilienceMethod::kBruteForce:
       return SolveBruteForceResilience(plan.if_language, db, semantics);
     case ResilienceMethod::kAuto:
       break;
   }
-  return Status::Internal("ResiliencePlan holds an unexecutable method");
+  return Status::Internal(
+      "ResiliencePlan holds an unexecutable method or lacks its prepared "
+      "data");
 }
 
 Result<ResilienceResult> ComputeResilience(const Language& lang,

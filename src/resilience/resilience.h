@@ -14,7 +14,10 @@
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
 #include "lang/language.h"
+#include "lang/tractable.h"
+#include "resilience/bcl_resilience.h"
 #include "resilience/exact.h"
+#include "resilience/one_dangling_resilience.h"
 #include "resilience/result.h"
 #include "resilience/ro_tables.h"
 #include "util/status.h"
@@ -49,11 +52,13 @@ Result<ResilienceResult> ComputeResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
     const ResilienceOptions& options = {});
 
-/// A precompiled kAuto dispatch decision: the infix-free sublanguage plus
-/// the solver selected for it, derived once from the query and reusable
-/// across any number of databases (the engine's plan-cache payload).
+/// A precompiled kAuto dispatch decision: the infix-free sublanguage, the
+/// solver selected for it, and everything that solver derives from the
+/// query alone — computed once and reusable across any number of
+/// databases (the engine's plan-cache payload).
 struct ResiliencePlan {
   /// The language handed to the solver — IF(L) (Q_L = Q_IF(L), Section 2).
+  /// The exact solver searches it as is.
   Language if_language;
   /// The solver kAuto selected for IF(L); never kAuto itself.
   ResilienceMethod method = ResilienceMethod::kExact;
@@ -61,13 +66,18 @@ struct ResiliencePlan {
   bool trivial_infinite = false;
   /// IF(L) = ∅: resilience is 0 on every database; no solver runs.
   bool trivial_empty = false;
-  /// Precompiled RO-εNFA (Lemma 3.17) when method == kLocalFlow, so each
-  /// ComputeResilienceWithPlan call skips straight to the Thm 3.13 product.
+  /// kLocalFlow: the RO-εNFA of IF(L) (Lemma 3.17).
   std::optional<Enfa> ro_enfa;
-  /// Solver-ready tables derived from `ro_enfa` (letter transitions,
-  /// ε-CSRs, per-state labels, initial/final bits), so the product
-  /// construction does zero per-solve automaton preprocessing.
+  /// kLocalFlow: solver-ready tables derived from `ro_enfa` (letter
+  /// transitions, ε-CSRs, per-state labels, initial/final bits), so the
+  /// product construction does zero per-solve automaton preprocessing.
   std::optional<RoProductTables> ro_tables;
+  /// kBclFlow: the forced letters, the long words and the 256-entry
+  /// relevance and endpoint-side tables of Prp 7.6.
+  std::optional<BclPlan> bcl;
+  /// kOneDanglingFlow: the orientation, x, y, the fresh letter z and the
+  /// Thm 3.13 tables of the x → xz-rewritten base of Prp 7.9.
+  std::optional<OneDanglingPlan> one_dangling;
 };
 
 /// Derives the kAuto dispatch plan for `lang`. Plans are a kAuto notion:
@@ -77,24 +87,30 @@ struct ResiliencePlan {
 Result<ResiliencePlan> PlanResilience(const Language& lang,
                                       const ResilienceOptions& options = {});
 
-/// Like PlanResilience but takes the precomputed IF(L) — the engine's
-/// entry point, which already derived IF(L) for classification.
+/// Like PlanResilience but takes the precomputed IF(L) and its PTIME
+/// verdict FindTractableForm(IF(L)) — the engine's entry point, which
+/// derived both once and classified from the same form.
 Result<ResiliencePlan> PlanResilienceWithIF(
-    Language ifl, const ResilienceOptions& options = {});
+    Language ifl, const TractableForm& form,
+    const ResilienceOptions& options = {});
 
 /// Computes RES(Q_L, D) by executing a precompiled plan. Equivalent to
 /// ComputeResilience(lang, db, semantics) with kAuto, minus all per-query
-/// work (parse, determinize, IF, classification, RO-εNFA construction).
+/// work: parse, determinize, IF, classification, and each solver's
+/// preparation (RO-εNFA tables for local; forced letters, words and
+/// endpoint sides for BCL; orientation, fresh letter and rewritten-base
+/// tables for one-dangling). The exact solver searches `plan.if_language`
+/// directly.
 /// `exact_options` only applies when the plan routes to the exact solver
 /// (adversarial instances can make the branch & bound explode; callers
 /// like the differential oracle bound it and treat OutOfRange as an
 /// inconclusive budget exhaustion, not an answer). `label_index`, when
-/// given, must be built from `db`; flow-network construction then iterates
-/// per-label fact lists instead of scanning every fact (the DbRegistry
-/// snapshot hot path). `scratch`, when given, supplies the reusable flow
-/// solver arena (flow/solver_scratch.h); the flow solvers otherwise fall
-/// back to the calling thread's shared scratch, so repeated calls are
-/// allocation-free in steady state either way.
+/// given, must be built from `db`; the flow solvers then iterate per-label
+/// fact lists instead of scanning every fact (the DbRegistry snapshot hot
+/// path). `scratch`, when given, supplies the reusable flow solver arena
+/// (flow/solver_scratch.h); the flow solvers otherwise fall back to the
+/// calling thread's shared scratch, so repeated calls are allocation-free
+/// in steady state either way.
 Result<ResilienceResult> ComputeResilienceWithPlan(
     const ResiliencePlan& plan, const GraphDb& db, Semantics semantics,
     const ExactOptions& exact_options = {},

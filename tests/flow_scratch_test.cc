@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iostream>
 #include <new>
 
 #include "engine/db_registry.h"
@@ -18,11 +20,12 @@
 #include "flow/solver_scratch.h"
 #include "graphdb/generators.h"
 #include "graphdb/label_index.h"
+#include "lang/infix_free.h"
 #include "lang/language.h"
 #include "lang/ro_enfa.h"
 #include "obs/trace.h"
-#include "resilience/bcl_resilience.h"
 #include "resilience/local_resilience.h"
+#include "resilience/resilience.h"
 #include "util/rng.h"
 
 namespace {
@@ -104,26 +107,96 @@ TEST(SolverScratchTest, LocalSolveReusesBuffersAndStopsAllocating) {
   }
 }
 
-TEST(SolverScratchTest, BclSolveReusesBuffers) {
-  Rng rng(99);
-  GraphDb db = WordSoupDb(&rng, {"ab", "bc"}, 16, {'a', 'b', 'c'}, 32, 10);
+// Solves `plan` on `db` through the label index and scratch `rounds`
+// times after one warm-up solve; checks every answer and that the scratch
+// never grows, and returns the largest heap-allocation count of a round.
+long long SteadyPlanSolveAllocations(const ResiliencePlan& plan,
+                                     const GraphDb& db, int rounds) {
   LabelIndex index(db);
-  Language lang = Language::MustFromRegexString("ab|bc");
-
   SolverScratch scratch;
-  Result<ResilienceResult> first =
-      SolveBclResilience(lang, db, Semantics::kBag, &index, &scratch);
-  ASSERT_TRUE(first.ok()) << first.status();
+  Result<ResilienceResult> first = ComputeResilienceWithPlan(
+      plan, db, Semantics::kBag, {}, &index, &scratch);
+  EXPECT_TRUE(first.ok()) << first.status();
+  if (!first.ok()) return -1;
   const size_t warm_bytes = scratch.total_capacity_bytes();
-
-  for (int round = 0; round < 10; ++round) {
-    Result<ResilienceResult> again =
-        SolveBclResilience(lang, db, Semantics::kBag, &index, &scratch);
-    ASSERT_TRUE(again.ok());
+  long long most = 0;
+  for (int round = 0; round < rounds; ++round) {
+    long long before = g_allocations.load(std::memory_order_relaxed);
+    Result<ResilienceResult> again = ComputeResilienceWithPlan(
+        plan, db, Semantics::kBag, {}, &index, &scratch);
+    most = std::max(most,
+                    g_allocations.load(std::memory_order_relaxed) - before);
+    EXPECT_TRUE(again.ok()) << again.status();
+    if (!again.ok()) return -1;
     EXPECT_EQ(again->value, first->value);
+    EXPECT_EQ(again->contingency, first->contingency);
     EXPECT_EQ(scratch.total_capacity_bytes(), warm_bytes)
         << "round " << round << " grew a scratch buffer";
   }
+  return most;
+}
+
+ResiliencePlan MustPlan(const char* regex, ResilienceMethod expected) {
+  Result<ResiliencePlan> plan =
+      PlanResilience(Language::MustFromRegexString(regex));
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->method, expected) << regex;
+  return *std::move(plan);
+}
+
+// The BCL plan carries its words and label tables, so a steady-state
+// solve allocates only the returned result: its algorithm string and the
+// contingency vector's growth. Measured: 7 allocations (a one-shot
+// SolveBclResilience, which derives IF(L) first, makes ~1800).
+TEST(SolverScratchTest, BclSolveReusesBuffersAndStopsAllocating) {
+  Rng rng(99);
+  GraphDb db = WordSoupDb(&rng, {"ab", "bc"}, 16, {'a', 'b', 'c'}, 32, 10);
+  ResiliencePlan plan = MustPlan("ab|bc", ResilienceMethod::kBclFlow);
+  long long allocations = SteadyPlanSolveAllocations(plan, db, 10);
+  std::cout << "BCL plan solve: " << allocations << " allocations\n";
+  EXPECT_LE(allocations, 16);
+}
+
+// One-dangling: orientation, fresh letter and rewritten-base tables come
+// from the plan and the rewrite D' is a view over the database, so the
+// solve neither copies the database nor builds automata. Measured: 6
+// allocations for each orientation (before the plan carried this data:
+// ~4100).
+TEST(SolverScratchTest, OneDanglingPlanSolveStopsAllocating) {
+  Rng rng(31);
+  GraphDb db = DanglingPairsDb(&rng, 30, 60, {'a', 'b', 'c'}, 'b', 'e', 12, 4);
+  // abc|be reads the database as stored; in ax*b|ea only x = e is fresh,
+  // so the plan reads the database mirrored.
+  for (const char* regex : {"abc|be", "ax*b|ea"}) {
+    SCOPED_TRACE(regex);
+    ResiliencePlan plan = MustPlan(regex, ResilienceMethod::kOneDanglingFlow);
+    long long allocations = SteadyPlanSolveAllocations(plan, db, 10);
+    std::cout << regex << " plan solve: " << allocations
+              << " allocations\n";
+    EXPECT_LE(allocations, 16);
+  }
+}
+
+// The exact branch & bound searches the plan's IF(L) as is: a plan solve
+// must cost fewer allocations than deriving IF(L) once. Measured on this
+// 12-fact database: 1885 for the whole solve, against 3347 for deriving
+// IF(ab|bc|ca) in this test; the solve also stays below 2070, the cost of
+// one IF derivation in an optimized build.
+TEST(SolverScratchTest, ExactPlanSolveSkipsTheIfDerivation) {
+  Language lang = Language::MustFromRegexString("ab|bc|ca");
+  long long before = g_allocations.load(std::memory_order_relaxed);
+  Language ifl = InfixFreeSublanguage(lang);
+  const long long if_allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  Rng rng(5);
+  GraphDb db = RandomGraphDb(&rng, 8, 12, {'a', 'b', 'c'}, 3);
+  ResiliencePlan plan = MustPlan("ab|bc|ca", ResilienceMethod::kExact);
+  long long allocations = SteadyPlanSolveAllocations(plan, db, 3);
+  std::cout << "IF(L): " << if_allocations << " allocations, exact plan solve: "
+            << allocations << "\n";
+  EXPECT_GE(allocations, 0);
+  EXPECT_LT(allocations, if_allocations);
+  EXPECT_LT(allocations, 2070);
 }
 
 // End-to-end: the engine's per-thread scratch reaches a steady state

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "lang/language.h"
 #include "resilience/bcl_resilience.h"
 #include "resilience/exact.h"
@@ -160,6 +165,62 @@ INSTANTIATE_TEST_SUITE_P(
             BclCase{"axyb|bztc|cd|dea",
                     {'a', 'b', 'c', 'd', 'e', 'x', 'y', 'z', 't'}}),
         ::testing::Range(1, 9)));
+
+// --- Prepared plan vs forced method vs brute force --------------------------
+
+class BclPlanParityTest : public ::testing::TestWithParam<const char*> {};
+
+// The kAuto plan (with and without a LabelIndex), the forced kBclFlow
+// method and brute force agree over many seeds, on databases with
+// exogenous facts and letters outside the language; every witness
+// verifies.
+TEST_P(BclPlanParityTest, PlanForcedAndBruteForceAgree) {
+  const char* regex = GetParam();
+  Language lang = Language::MustFromRegexString(regex);
+  Result<ResiliencePlan> plan = PlanResilience(lang);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->method, ResilienceMethod::kBclFlow);
+  ASSERT_TRUE(plan->bcl.has_value());
+  ResilienceOptions forced;
+  forced.method = ResilienceMethod::kBclFlow;
+  std::vector<char> labels = lang.used_letters();
+  labels.push_back('q');  // outside the language
+  for (int seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 17 + 3);
+    GraphDb db = RandomGraphDb(&rng, 5, 9 + seed % 6, labels, 3);
+    for (FactId f = 0; f < db.num_facts(); ++f) {
+      if (rng.NextChance(1, 6)) db.SetExogenous(f);
+    }
+    SCOPED_TRACE(std::string(regex) + " seed " + std::to_string(seed) +
+                 "\n" + db.ToString());
+    LabelIndex index(db);
+    for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
+      Result<ResilienceResult> brute =
+          SolveBruteForceResilience(lang, db, semantics);
+      ASSERT_TRUE(brute.ok()) << brute.status();
+      std::vector<std::pair<std::string, Result<ResilienceResult>>> answers;
+      answers.emplace_back("plan",
+                           ComputeResilienceWithPlan(*plan, db, semantics));
+      answers.emplace_back(
+          "plan, indexed",
+          ComputeResilienceWithPlan(*plan, db, semantics, {}, &index));
+      answers.emplace_back("forced method",
+                           ComputeResilience(lang, db, semantics, forced));
+      for (const auto& [path, answer] : answers) {
+        SCOPED_TRACE(path + (semantics == Semantics::kSet ? " set" : " bag"));
+        ASSERT_TRUE(answer.ok()) << answer.status();
+        EXPECT_EQ(answer->infinite, brute->infinite);
+        if (!brute->infinite) EXPECT_EQ(answer->value, brute->value);
+        Status check = VerifyResilienceResult(lang, db, semantics, *answer);
+        EXPECT_TRUE(check.ok()) << check;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Languages, BclPlanParityTest,
+                         ::testing::Values("ab|bc", "ab|bc|d", "axb|byc",
+                                           "axyb|bztc|cd|dea"));
 
 }  // namespace
 }  // namespace rpqres

@@ -4,9 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
+#include "lang/infix_free.h"
 #include "lang/language.h"
+#include "lang/one_dangling.h"
 #include "resilience/exact.h"
 #include "resilience/one_dangling_resilience.h"
 #include "resilience/resilience.h"
@@ -164,6 +173,114 @@ INSTANTIATE_TEST_SUITE_P(
             OneDanglingCase{"abcd|ce", {'a', 'b', 'c', 'd', 'e'}},
             OneDanglingCase{"ab|bc", {'a', 'b', 'c'}}),
         ::testing::Range(1, 11)));
+
+// --- Prepared plan vs forced method vs brute force --------------------------
+
+// Solves `db` every way the library offers and checks each answer against
+// brute force, verifying every witness.
+void ExpectAllPathsAgree(const Language& lang, const OneDanglingPlan& plan,
+                         const GraphDb& db, const std::string& context) {
+  SCOPED_TRACE(context + "\n" + db.ToString());
+  Result<ResiliencePlan> auto_plan = PlanResilience(lang);
+  ASSERT_TRUE(auto_plan.ok()) << auto_plan.status();
+  ASSERT_EQ(auto_plan->method, ResilienceMethod::kOneDanglingFlow);
+  LabelIndex index(db);
+  ResilienceOptions forced;
+  forced.method = ResilienceMethod::kOneDanglingFlow;
+  for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
+    Result<ResilienceResult> brute =
+        SolveBruteForceResilience(lang, db, semantics);
+    ASSERT_TRUE(brute.ok()) << brute.status();
+    std::vector<std::pair<std::string, Result<ResilienceResult>>> answers;
+    answers.emplace_back("oriented plan", SolveOneDanglingResilienceWithPlan(
+                                              plan, db, semantics));
+    answers.emplace_back(
+        "oriented plan, indexed",
+        SolveOneDanglingResilienceWithPlan(plan, db, semantics, &index));
+    answers.emplace_back("auto plan",
+                         ComputeResilienceWithPlan(*auto_plan, db, semantics));
+    answers.emplace_back(
+        "auto plan, indexed",
+        ComputeResilienceWithPlan(*auto_plan, db, semantics, {}, &index));
+    answers.emplace_back("forced method",
+                         ComputeResilience(lang, db, semantics, forced));
+    for (const auto& [path, answer] : answers) {
+      SCOPED_TRACE(path + (semantics == Semantics::kSet ? " set" : " bag"));
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      EXPECT_EQ(answer->infinite, brute->infinite);
+      if (!brute->infinite) EXPECT_EQ(answer->value, brute->value);
+      Status check = VerifyResilienceResult(lang, db, semantics, *answer);
+      EXPECT_TRUE(check.ok()) << check;
+    }
+  }
+}
+
+struct OrientationCase {
+  const char* regex;
+  bool from_mirror;  // decompose mirror(IF(L)) instead of IF(L)
+  bool mirrored_db;  // the orientation the plan must choose
+};
+
+class OneDanglingPlanParityTest
+    : public ::testing::TestWithParam<OrientationCase> {};
+
+// Every orientation of Prp 7.9 + Prp 6.3: abc|be is read as stored;
+// ax*b|ea has only x = e fresh, so its database is read mirrored; a
+// decomposition of mirror(ax*b|ea) has y fresh and is mirrored once; one
+// of mirror(abc|be) has only x fresh, so it is mirrored twice, which
+// reads the database as stored again. Databases mix in exogenous base
+// facts, facts labelled with the plan's fresh letter z, a letter outside
+// the language, and versioned overlays with tombstones.
+TEST_P(OneDanglingPlanParityTest, PlanForcedAndBruteForceAgree) {
+  const OrientationCase& c = GetParam();
+  Language lang = Language::MustFromRegexString(c.regex);
+  Language ifl = InfixFreeSublanguage(lang);
+  std::optional<OneDanglingDecomposition> decomposition =
+      FindOneDanglingDecomposition(c.from_mirror ? ifl.Mirror() : ifl);
+  ASSERT_TRUE(decomposition.has_value());
+  Result<OneDanglingPlan> plan = PrepareOneDanglingPlan(
+      OrientedOneDangling{*decomposition, c.from_mirror});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->mirror_db, c.mirrored_db);
+  EXPECT_EQ(plan->mirrored, c.from_mirror);
+
+  std::vector<char> labels = lang.used_letters();
+  labels.push_back(plan->z);
+  labels.push_back('q');  // outside the language
+  for (int seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 131 + 7);
+    GraphDb db = RandomGraphDb(&rng, 5, 9 + seed % 6, labels, 3);
+    // Exogenous facts away from x and y (the rewrite's arithmetic needs
+    // those endogenous).
+    for (FactId f = 0; f < db.num_facts(); ++f) {
+      char label = db.fact(f).label;
+      if (label != plan->x && label != plan->y && rng.NextChance(1, 5)) {
+        db.SetExogenous(f);
+      }
+    }
+    ExpectAllPathsAgree(lang, *plan, db,
+                        std::string(c.regex) + " seed " + std::to_string(seed));
+    if (seed % 4 != 0) continue;
+    // A versioned overlay: one fact tombstoned, one appended.
+    auto base = std::make_shared<const GraphDb>(db);
+    GraphDb overlay = GraphDb::MakeOverlay(base);
+    const Fact gone = db.fact(static_cast<FactId>(rng.NextBelow(db.num_facts())));
+    ASSERT_TRUE(overlay.RemoveFact(gone.source, gone.label, gone.target).ok());
+    overlay.AddFact(static_cast<NodeId>(rng.NextBelow(db.num_nodes())),
+                    labels[rng.NextBelow(labels.size())],
+                    static_cast<NodeId>(rng.NextBelow(db.num_nodes())), 2);
+    ExpectAllPathsAgree(lang, *plan, overlay,
+                        std::string(c.regex) + " overlay seed " +
+                            std::to_string(seed));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orientations, OneDanglingPlanParityTest,
+    ::testing::Values(OrientationCase{"abc|be", false, false},
+                      OrientationCase{"ax*b|ea", false, true},
+                      OrientationCase{"ax*b|ea", true, true},
+                      OrientationCase{"abc|be", true, false}));
 
 }  // namespace
 }  // namespace rpqres
