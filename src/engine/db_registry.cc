@@ -194,6 +194,12 @@ DbRegistry::DbRegistry(Options options) : options_(std::move(options)) {
 DbRegistry::~DbRegistry() = default;
 
 DbHandle DbRegistry::Register(GraphDb db, std::string name) {
+  Result<DbHandle> handle = TryRegister(std::move(db), std::move(name));
+  return handle.ok() ? std::move(handle).ValueOrDie() : DbHandle();
+}
+
+Result<DbHandle> DbRegistry::TryRegister(GraphDb db, std::string name) {
+  RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
   auto snapshot = std::make_shared<DbSnapshot>();
   snapshot->name = std::move(name);
   snapshot->db = std::move(db);
@@ -229,6 +235,7 @@ DeltaBatch DbRegistry::BeginDelta(const DbHandle& parent) {
 
 Result<DbHandle> DbRegistry::CommitDelta(DeltaBatch* batch) {
   batch->committed_ = true;  // one-shot, even on failure
+  RPQRES_RETURN_IF_ERROR(batch->work_.CheckTotalMultiplicity());
   const DbSnapshot& parent = *batch->parent_;
 
   auto snapshot = std::make_shared<DbSnapshot>();

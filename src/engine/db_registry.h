@@ -179,7 +179,9 @@ class DeltaBatch {
   /// Publishes the batch as the parent lineage's next version and
   /// returns its handle. Fails with Aborted when another commit advanced
   /// the lineage first (re-begin and retry), NotFound when the lineage
-  /// was unregistered, FailedPrecondition on an invalid/consumed batch.
+  /// was unregistered, FailedPrecondition on an invalid/consumed batch,
+  /// OutOfRange when the new version's endogenous multiplicities sum past
+  /// kMaxTotalMultiplicity.
   Result<DbHandle> Commit();
 
  private:
@@ -280,6 +282,13 @@ class DbRegistry {
   /// lineage — builds its label index, and returns a handle. Ids are
   /// unique per registry, starting at 1. Names need not be unique;
   /// Find/Resolve see the most recently registered lineage per name.
+  /// OutOfRange (and nothing registered) when the live endogenous
+  /// multiplicities sum past kMaxTotalMultiplicity: no bag-semantics
+  /// solve over such a database could sum its costs without overflow.
+  Result<DbHandle> TryRegister(GraphDb db, std::string name = "")
+      RPQRES_EXCLUDES(mu_);
+  /// TryRegister for callers without a status channel: an invalid handle
+  /// when TryRegister fails.
   DbHandle Register(GraphDb db, std::string name = "") RPQRES_EXCLUDES(mu_);
 
   /// Starts a delta against `parent`'s version. An invalid parent yields

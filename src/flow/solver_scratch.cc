@@ -26,7 +26,12 @@ size_t SolverScratch::total_capacity_bytes() const {
          VectorBytes(label_bucket) + VectorBytes(node_bucket_offset) +
          VectorBytes(node_bucket) + VectorBytes(node_bucket_cursor) +
          VectorBytes(x_in_cost) + VectorBytes(y_out_cost) +
-         VectorBytes(in_node) + VectorBytes(in_origin) + VectorBytes(fact_cut);
+         VectorBytes(in_node) + VectorBytes(in_origin) + VectorBytes(fact_cut) +
+         product_seen.capacity_bytes() + VectorBytes(product_parent_fact) +
+         VectorBytes(product_parent) + VectorBytes(product_queue) +
+         VectorBytes(closure_stack) + VectorBytes(walk) +
+         VectorBytes(removed) + VectorBytes(match_stack) +
+         VectorBytes(best_set);
 }
 
 }  // namespace rpqres

@@ -4,8 +4,10 @@
 // residual graph, the fact↔edge mapping, flat per-letter transition
 // tables, ε-adjacency over automaton states, and (for the Thm 3.13
 // product) reachability marks plus dense vertex ids over (node, state)
-// pairs. A SolverScratch owns all of it in grow-only buffers, so a warm
-// scratch makes steady-state serving allocation-free per solve.
+// pairs. The exact branch & bound needs the product BFS's seen set,
+// parents and queue plus its own removal mask and match stack. A
+// SolverScratch owns all of it in grow-only buffers, so a warm scratch
+// makes steady-state serving allocation-free per solve.
 //
 // Ownership model: the engine's worker pool holds one scratch per thread
 // (SolverScratch::ThreadLocal()); solver entry points accept an optional
@@ -152,6 +154,34 @@ class SolverScratch {
   std::vector<int32_t> in_node, in_origin;
   /// Per rewritten fact: whether the minimum cut took it.
   std::vector<uint8_t> fact_cut;
+
+  // --- exact search state (product BFS + branch & bound) -------------------
+  // The product BFS of graphdb/rpq_eval (SearchProduct) and the exact
+  // branch & bound built on it keep every transient buffer here, so a
+  // search node allocates nothing once the scratch is warm. SearchProduct
+  // owns the product_* buffers and the closure stack for one call; the
+  // branch & bound owns the rest for one solve, so nothing it calls may
+  // start another exact solve on the same scratch.
+  /// Configurations (node, state) seen by the current BFS; Reset per call.
+  StampedSet product_seen;
+  /// Per configuration: the fact that entered it (-1 for a start or an
+  /// ε-step) and the configuration it was entered from (-1 for a start).
+  /// Written when a configuration is first seen, so never cleared.
+  std::vector<int32_t> product_parent_fact;
+  std::vector<int64_t> product_parent;
+  /// The BFS FIFO as a flat vector with a head cursor.
+  std::vector<int64_t> product_queue;
+  /// Pending states of the ε-closure being expanded.
+  std::vector<int32_t> closure_stack;
+  /// Branch & bound: the shortest walk of the current search node.
+  std::vector<int32_t> walk;
+  /// Branch & bound: removal mask over fact ids (1 = deleted).
+  std::vector<uint8_t> removed;
+  /// Branch & bound: the match of every open search node, stacked; each
+  /// depth owns the segment it appended.
+  std::vector<int32_t> match_stack;
+  /// Branch & bound: the best contingency set found so far, sorted.
+  std::vector<int32_t> best_set;
 
   /// Test-only knob: emit the full (unpruned) product network. The pruned
   /// and unpruned constructions must produce identical cut values — the

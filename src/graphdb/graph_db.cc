@@ -64,6 +64,7 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
     // always at or above the watermark.
     FactId id = it->second;
     multiplicities_[id - base_facts_] += multiplicity;
+    if (!IsExogenous(id)) endogenous_multiplicity_ += multiplicity;
     return id;
   }
   if (base_ != nullptr) {
@@ -80,6 +81,7 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
         mult_override_.insert(
             pos, {base_id, base_->multiplicity(base_id) + multiplicity});
       }
+      if (!IsExogenous(base_id)) endogenous_multiplicity_ += multiplicity;
       return base_id;
     }
   }
@@ -96,6 +98,7 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
   }
   if (!dead_.empty()) dead_.push_back(0);
   fact_index_[key] = id;
+  CountEndogenous(id, +1);
   return id;
 }
 
@@ -105,15 +108,15 @@ void GraphDb::SetExogenous(FactId id, bool exogenous) {
                    "SetExogenous: base facts of an overlay are immutable");
   RPQRES_CHECK_MSG(mapped_ == nullptr,
                    "SetExogenous: mapped databases are immutable");
+  if (IsLive(id) && IsExogenous(id) != exogenous) {
+    CountEndogenous(id, exogenous ? -1 : +1);
+  }
   exogenous_[id - base_facts_] = exogenous;
 }
 
-int GraphDb::NumExogenous() const {
-  int count = 0;
-  for (FactId f = 0; f < num_facts(); ++f) {
-    if (IsLive(f) && IsExogenous(f)) ++count;
-  }
-  return count;
+void GraphDb::CountEndogenous(FactId id, int sign) {
+  endogenous_facts_ += sign;
+  endogenous_multiplicity_ += sign * static_cast<__int128>(multiplicity(id));
 }
 
 FactId GraphDb::FindFact(NodeId source, char label, NodeId target) const {
@@ -149,11 +152,18 @@ FactId GraphDb::FindFact(NodeId source, char label, NodeId target) const {
 }
 
 Capacity GraphDb::TotalCost(Semantics semantics) const {
-  Capacity total = 0;
-  for (FactId id = 0; id < num_facts(); ++id) {
-    if (IsLive(id) && !IsExogenous(id)) total += Cost(id, semantics);
-  }
-  return total;
+  if (semantics == Semantics::kSet) return endogenous_facts_;
+  return endogenous_multiplicity_ < kInfiniteCapacity
+             ? static_cast<Capacity>(endogenous_multiplicity_)
+             : kInfiniteCapacity;
+}
+
+Status GraphDb::CheckTotalMultiplicity() const {
+  if (endogenous_multiplicity_ <= kMaxTotalMultiplicity) return Status::OK();
+  return Status::OutOfRange(
+      "the live endogenous facts' multiplicities sum past " +
+      std::to_string(kMaxTotalMultiplicity) +
+      "; bag-semantics cost sums over this database would overflow");
 }
 
 std::vector<char> GraphDb::Labels() const {
@@ -169,6 +179,8 @@ std::vector<char> GraphDb::Labels() const {
 GraphDb GraphDb::MakeOverlay(std::shared_ptr<const GraphDb> parent) {
   RPQRES_CHECK_MSG(parent != nullptr, "MakeOverlay: null parent");
   GraphDb out;
+  out.endogenous_facts_ = parent->endogenous_facts_;
+  out.endogenous_multiplicity_ = parent->endogenous_multiplicity_;
   if (parent->base_ == nullptr) {
     out.base_ = std::move(parent);
   } else {
@@ -204,6 +216,7 @@ Status GraphDb::RemoveFact(NodeId source, char label, NodeId target) {
                             std::to_string(source) + " -" + label + "-> " +
                             std::to_string(target));
   }
+  if (!IsExogenous(id)) CountEndogenous(id, -1);
   if (dead_.empty()) dead_.assign(num_facts(), 0);
   dead_[id] = 1;
   ++num_dead_;
@@ -270,6 +283,12 @@ GraphDb GraphDb::FromMappedFlat(
   GraphDb out;
   out.node_names_ = std::move(node_names);
   out.mapped_ = std::move(storage);
+  const MappedFlatStorage& mapped = *out.mapped_;
+  for (FactId id = 0; id < mapped.num_facts; ++id) {
+    if (mapped.exogenous[id] != 0) continue;
+    ++out.endogenous_facts_;
+    out.endogenous_multiplicity_ += mapped.multiplicities[id];
+  }
   return out;
 }
 
@@ -316,20 +335,6 @@ GraphDb GraphDb::RemoveFacts(const std::vector<FactId>& fact_ids) const {
       FactId copy = out.AddFact(f.source, f.label, f.target, multiplicity(id));
       if (IsExogenous(id)) out.SetExogenous(copy);
     }
-  }
-  return out;
-}
-
-GraphDb GraphDb::MirrorDb() const {
-  RPQRES_CHECK_MSG(base_ == nullptr,
-                   "MirrorDb: Compact() an overlay database first");
-  GraphDb out;
-  for (NodeId v = 0; v < num_nodes(); ++v) out.AddNode(node_name(v));
-  out.nodes_by_name_ = nodes_by_name_;
-  for (FactId id = 0; id < num_facts(); ++id) {
-    const Fact& f = fact(id);
-    FactId copy = out.AddFact(f.target, f.label, f.source, multiplicity(id));
-    if (IsExogenous(id)) out.SetExogenous(copy);
   }
   return out;
 }

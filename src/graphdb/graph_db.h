@@ -46,6 +46,12 @@
 
 namespace rpqres {
 
+/// The largest total multiplicity of live endogenous facts a database may
+/// carry. Below it every cost sum a solver forms (an incumbent plus a
+/// fact's cost, a network's finite capacities plus one) stays far from
+/// kInfiniteCapacity, so no such sum can overflow.
+inline constexpr Capacity kMaxTotalMultiplicity = kInfiniteCapacity / 4;
+
 using NodeId = int32_t;
 using FactId = int32_t;
 
@@ -114,8 +120,10 @@ class GraphDb {
     if (mapped_ != nullptr) return mapped_->exogenous[id] != 0;
     return exogenous_[id - base_facts_];
   }
-  /// Number of live exogenous facts.
-  int NumExogenous() const;
+  /// Number of live exogenous facts. O(1).
+  int NumExogenous() const {
+    return num_live_facts() - static_cast<int>(endogenous_facts_);
+  }
 
   int num_nodes() const {
     return base_nodes_ + static_cast<int>(node_names_.size());
@@ -150,8 +158,13 @@ class GraphDb {
     return semantics == Semantics::kSet ? 1 : multiplicity(id);
   }
   /// Sum of costs of all live *endogenous* facts (the cost of deleting
-  /// everything deletable).
+  /// everything deletable), saturated at kInfiniteCapacity. O(1): every
+  /// mutator keeps the running totals current.
   Capacity TotalCost(Semantics semantics) const;
+  /// OutOfRange when the live endogenous multiplicities sum past
+  /// kMaxTotalMultiplicity — such a database cannot be solved under bag
+  /// semantics without overflowing a cost sum. O(1).
+  Status CheckTotalMultiplicity() const;
 
   const std::string& node_name(NodeId id) const {
     return id < base_nodes_ ? base_->node_names_[id]
@@ -306,17 +319,15 @@ class GraphDb {
   /// Flat databases only; an overlay should Compact() first.
   GraphDb RemoveFacts(const std::vector<FactId>& fact_ids) const;
 
-  /// Copy with every edge reversed (the database mirror of Prp 6.3). Fact
-  /// ids are preserved: fact i of the mirror is fact i reversed. Flat
-  /// databases only.
-  GraphDb MirrorDb() const;
-
   /// Human-readable listing ("u -a-> v [x3]").
   std::string ToString() const;
 
  private:
   IncidentFacts IncidentView(NodeId node, bool out) const;
   bool LookupMultOverride(FactId id, Capacity* value) const;
+  /// Moves the endogenous totals by `sign` times fact `id`'s current
+  /// multiplicity (an endogenous fact appearing or going away).
+  void CountEndogenous(FactId id, int sign);
   /// [first, last) of the per-node fact list of a *flat* database (heap
   /// vectors or mapped CSR). Not valid on overlays.
   std::pair<const FactId*, const FactId*> FlatIncidentRange(NodeId node,
@@ -351,6 +362,13 @@ class GraphDb {
   /// node (base or overlay). Flat databases use out_facts_/in_facts_.
   std::map<NodeId, std::vector<FactId>> overlay_out_;
   std::map<NodeId, std::vector<FactId>> overlay_in_;
+
+  // Running totals over the live endogenous facts (both layouts), kept by
+  // every mutator so TotalCost and CheckTotalMultiplicity are O(1). The
+  // multiplicity sum is 128-bit, so no sequence of int64 multiplicities
+  // can overflow it and removals stay exact.
+  int64_t endogenous_facts_ = 0;
+  __int128 endogenous_multiplicity_ = 0;
 };
 
 }  // namespace rpqres

@@ -11,21 +11,27 @@
 namespace rpqres {
 namespace {
 
-/// Branch & bound state shared across the recursion.
+/// Branch & bound state shared across the recursion. The transient
+/// buffers are the scratch's exact section (removal mask, match stack,
+/// incumbent), so a search node allocates nothing.
 class BranchAndBound {
  public:
-  BranchAndBound(const Language& lang, const GraphDb& db, Semantics semantics,
-                 const ExactOptions& options)
-      : lang_(lang), db_(db), semantics_(semantics), options_(options) {}
+  BranchAndBound(const ProductAutomaton& query, const GraphDb& db,
+                 Semantics semantics, const ExactOptions& options,
+                 SolverScratch& scratch)
+      : query_(query), db_(db), semantics_(semantics), options_(options),
+        scratch_(scratch) {}
 
   Status Run() {
-    removed_.assign(db_.num_facts(), false);
+    scratch_.removed.assign(db_.num_facts(), 0);
+    scratch_.match_stack.clear();
     // Initial incumbent: delete every endogenous fact (a valid
     // contingency set — the caller ruled out fully-exogenous matches).
     best_value_ = db_.TotalCost(semantics_);
-    best_set_.clear();
+    std::vector<FactId>& best_set = scratch_.best_set;
+    best_set.clear();
     for (FactId f = 0; f < db_.num_facts(); ++f) {
-      if (db_.IsLive(f) && !db_.IsExogenous(f)) best_set_.push_back(f);
+      if (db_.IsLive(f) && !db_.IsExogenous(f)) best_set.push_back(f);
     }
 
     if (options_.use_disjoint_match_bound) {
@@ -38,28 +44,27 @@ class BranchAndBound {
   }
 
   Capacity best_value() const { return best_value_; }
-  const std::vector<FactId>& best_set() const { return best_set_; }
+  const std::vector<FactId>& best_set() const { return scratch_.best_set; }
   uint64_t nodes() const { return nodes_; }
 
  private:
   // Greedy packing of fact-disjoint matches: their min-fact-costs sum to a
   // valid lower bound, since a contingency set must hit each of them with
-  // distinct facts.
+  // distinct facts. Blocks facts in the removal mask, then clears it.
   Capacity DisjointMatchLowerBound() {
-    std::vector<bool> blocked(db_.num_facts(), false);
+    std::vector<uint8_t>& blocked = scratch_.removed;
     Capacity bound = 0;
-    for (;;) {
-      std::optional<WitnessWalk> walk =
-          ShortestWitnessWalk(db_, lang_.enfa(), &blocked);
-      if (!walk) break;
-      RPQRES_CHECK(!walk->empty());  // ε ∉ L was checked by the caller
+    while (SearchProduct(db_, query_, blocked.data(), -1, -1, scratch_,
+                         &scratch_.walk)) {
+      RPQRES_CHECK(!scratch_.walk.empty());  // the caller ruled out ε ∈ L
       Capacity cheapest = kInfiniteCapacity;
-      for (FactId f : WalkMatch(*walk)) {
+      for (FactId f : scratch_.walk) {
         cheapest = std::min(cheapest, db_.Cost(f, semantics_));
-        blocked[f] = true;
+        blocked[f] = 1;
       }
       bound += cheapest;
     }
+    std::fill(blocked.begin(), blocked.end(), 0);
     return bound;
   }
 
@@ -78,14 +83,14 @@ class BranchAndBound {
       return options_.cancel->ToStatus();
     }
     if (cost + lower_bound_hint >= best_value_) return Status::OK();
-    std::optional<WitnessWalk> walk =
-        ShortestWitnessWalk(db_, lang_.enfa(), &removed_);
-    if (!walk) {
+    std::vector<uint8_t>& removed = scratch_.removed;
+    if (!SearchProduct(db_, query_, removed.data(), -1, -1, scratch_,
+                       &scratch_.walk)) {
       // Current removal set is a contingency set cheaper than the best.
       best_value_ = cost;
-      best_set_.clear();
+      scratch_.best_set.clear();
       for (FactId f = 0; f < db_.num_facts(); ++f) {
-        if (removed_[f]) best_set_.push_back(f);
+        if (removed[f]) scratch_.best_set.push_back(f);
       }
       if (options_.use_disjoint_match_bound &&
           best_value_ <= root_lower_bound_) {
@@ -93,115 +98,92 @@ class BranchAndBound {
       }
       return Status::OK();
     }
-    RPQRES_CHECK(!walk->empty());
-    std::vector<FactId> match = WalkMatch(*walk);
+    RPQRES_CHECK(!scratch_.walk.empty());
+    // This node's match — the walk's distinct facts (Def 4.7) — is the
+    // segment [begin, end) of the shared match stack; deeper nodes append
+    // above it, so it is read by index, never through an iterator.
+    std::vector<FactId>& stack = scratch_.match_stack;
+    const size_t begin = stack.size();
+    stack.insert(stack.end(), scratch_.walk.begin(), scratch_.walk.end());
+    std::sort(stack.begin() + begin, stack.end());
+    stack.erase(std::unique(stack.begin() + begin, stack.end()), stack.end());
     // Exogenous facts cannot be deleted; the caller established that no
     // match is fully exogenous, so at least one branch remains.
-    match.erase(std::remove_if(match.begin(), match.end(),
+    stack.erase(std::remove_if(stack.begin() + begin, stack.end(),
                                [this](FactId f) {
                                  return db_.IsExogenous(f);
                                }),
-                match.end());
+                stack.end());
     // Heuristic: try cheap facts first — they keep the cost budget low and
     // tend to reach good incumbents early.
-    std::sort(match.begin(), match.end(), [this](FactId a, FactId b) {
+    std::sort(stack.begin() + begin, stack.end(), [this](FactId a, FactId b) {
       return db_.Cost(a, semantics_) < db_.Cost(b, semantics_);
     });
-    for (FactId f : match) {
+    const size_t end = stack.size();
+    for (size_t i = begin; i < end; ++i) {
       if (proved_optimal_) break;
+      const FactId f = stack[i];
       Capacity branch_cost = cost + db_.Cost(f, semantics_);
       if (branch_cost >= best_value_) continue;
-      removed_[f] = true;
+      removed[f] = 1;
       RPQRES_RETURN_IF_ERROR(Recurse(branch_cost, 0));
-      removed_[f] = false;
+      removed[f] = 0;
     }
+    stack.resize(begin);
     return Status::OK();
   }
 
-  const Language& lang_;
+  const ProductAutomaton& query_;
   const GraphDb& db_;
   Semantics semantics_;
   const ExactOptions& options_;
+  SolverScratch& scratch_;
 
-  std::vector<bool> removed_;
   Capacity best_value_ = 0;
-  std::vector<FactId> best_set_;
   Capacity root_lower_bound_ = 0;
   bool proved_optimal_ = false;
   uint64_t nodes_ = 0;
 };
 
-}  // namespace
-
-Result<ResilienceResult> SolveExactResilience(const Language& lang,
-                                              const GraphDb& db,
-                                              Semantics semantics,
-                                              const ExactOptions& options) {
-  return SolveExactResilienceWithIF(InfixFreeSublanguage(lang), db, semantics,
-                                    options);
-}
-
-Result<ResilienceResult> SolveExactResilienceWithIF(
-    const Language& ifl, const GraphDb& db, Semantics semantics,
-    const ExactOptions& options) {
-  ResilienceResult result;
-  result.algorithm = "exact branch & bound";
-  if (ifl.ContainsEpsilon()) {
-    result.infinite = true;
-    return result;
-  }
-  if (!EvaluatesToTrue(db, ifl)) {
-    return result;  // already false: resilience 0
-  }
-  // Infinite iff the query survives the deletion of every endogenous fact
-  // (then some match is fully exogenous, and conversely).
-  std::vector<bool> all_endogenous_removed(db.num_facts(), false);
-  for (FactId f = 0; f < db.num_facts(); ++f) {
-    all_endogenous_removed[f] = !db.IsExogenous(f);
-  }
-  if (EvaluatesToTrue(db, ifl.enfa(), &all_endogenous_removed)) {
-    result.infinite = true;
-    return result;
-  }
-  BranchAndBound solver(ifl, db, semantics, options);
-  RPQRES_RETURN_IF_ERROR(solver.Run());
-  result.value = solver.best_value();
-  result.contingency = solver.best_set();
-  result.search_nodes = solver.nodes();
-  return result;
-}
-
-Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,
-                                                   const GraphDb& db,
-                                                   Semantics semantics,
-                                                   int max_facts) {
+// The all-subsets search behind both brute-force entry points: the
+// cheapest endogenous subset whose removal leaves no L-walk from `source`
+// to `target` (anywhere when negative).
+Result<ResilienceResult> BruteForce(const Language& lang, const GraphDb& db,
+                                    NodeId source, NodeId target,
+                                    Semantics semantics, int max_facts,
+                                    const char* algorithm) {
   if (db.is_versioned()) {
     // Subset enumeration must range over live facts only; run on the flat
     // materialization and translate the witness back.
     std::vector<FactId> old_id_of;
     GraphDb flat = db.Compact(&old_id_of);
-    RPQRES_ASSIGN_OR_RETURN(
-        ResilienceResult result,
-        SolveBruteForceResilience(lang, flat, semantics, max_facts));
+    RPQRES_ASSIGN_OR_RETURN(ResilienceResult result,
+                            BruteForce(lang, flat, source, target, semantics,
+                                       max_facts, algorithm));
     for (FactId& f : result.contingency) f = old_id_of[f];
     return result;
   }
   ResilienceResult result;
-  result.algorithm = "brute force (all subsets)";
+  result.algorithm = algorithm;
   if (db.num_facts() > max_facts || max_facts > 24) {
     return Status::OutOfRange("brute force limited to " +
                               std::to_string(std::min(max_facts, 24)) +
                               " facts, database has " +
                               std::to_string(db.num_facts()));
   }
-  if (lang.ContainsEpsilon()) {
+  if (lang.ContainsEpsilon() && source == target) {
     result.infinite = true;
     return result;
   }
+  if (semantics == Semantics::kBag) {
+    RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
+  }
+  const ProductAutomaton query = PrepareProductAutomaton(lang.enfa());
+  SolverScratch& scratch = SolverScratch::ThreadLocal();
   int n = db.num_facts();
   Capacity best = kInfiniteCapacity;
   uint32_t best_mask = 0;
-  std::vector<bool> removed(n, false);
+  std::vector<uint8_t> removed(n, 0);
   for (uint32_t mask = 0; mask < (1u << n); ++mask) {
     Capacity cost = 0;
     bool touches_exogenous = false;
@@ -218,7 +200,7 @@ Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,
       }
     }
     if (touches_exogenous || cost >= best) continue;
-    if (!EvaluatesToTrue(db, lang.enfa(), &removed)) {
+    if (!SearchProduct(db, query, removed.data(), source, target, scratch)) {
       best = cost;
       best_mask = mask;
     }
@@ -236,65 +218,71 @@ Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,
   return result;
 }
 
+}  // namespace
+
+ExactPlan PrepareExactPlan(const Language& ifl) {
+  return ExactPlan{PrepareProductAutomaton(ifl.enfa())};
+}
+
+Result<ResilienceResult> SolveExactResilience(const Language& lang,
+                                              const GraphDb& db,
+                                              Semantics semantics,
+                                              const ExactOptions& options) {
+  return SolveExactResilienceWithPlan(
+      PrepareExactPlan(InfixFreeSublanguage(lang)), db, semantics, options);
+}
+
+Result<ResilienceResult> SolveExactResilienceWithPlan(
+    const ExactPlan& plan, const GraphDb& db, Semantics semantics,
+    const ExactOptions& options, SolverScratch* scratch) {
+  ResilienceResult result;
+  result.algorithm = "exact branch & bound";
+  const ProductAutomaton& query = plan.automaton;
+  if (query.accepts_epsilon) {
+    result.infinite = true;
+    return result;
+  }
+  if (semantics == Semantics::kBag) {
+    RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
+  }
+  SolverScratch& s = scratch != nullptr ? *scratch : SolverScratch::ThreadLocal();
+  if (!SearchProduct(db, query, nullptr, -1, -1, s)) {
+    return result;  // already false: resilience 0
+  }
+  // Infinite iff the query survives the deletion of every endogenous fact
+  // (then some match is fully exogenous, and conversely). Without
+  // exogenous facts that deletion leaves no facts, and ε ∉ L.
+  if (db.NumExogenous() > 0) {
+    s.removed.resize(db.num_facts());
+    for (FactId f = 0; f < db.num_facts(); ++f) {
+      s.removed[f] = db.IsExogenous(f) ? 0 : 1;
+    }
+    if (SearchProduct(db, query, s.removed.data(), -1, -1, s)) {
+      result.infinite = true;
+      return result;
+    }
+  }
+  BranchAndBound solver(query, db, semantics, options, s);
+  RPQRES_RETURN_IF_ERROR(solver.Run());
+  result.value = solver.best_value();
+  result.contingency = solver.best_set();
+  result.search_nodes = solver.nodes();
+  return result;
+}
+
+Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,
+                                                   const GraphDb& db,
+                                                   Semantics semantics,
+                                                   int max_facts) {
+  return BruteForce(lang, db, -1, -1, semantics, max_facts,
+                    "brute force (all subsets)");
+}
+
 Result<ResilienceResult> SolveBruteForceResilienceBetween(
     const Language& lang, const GraphDb& db, NodeId source, NodeId target,
     Semantics semantics, int max_facts) {
-  if (db.is_versioned()) {
-    std::vector<FactId> old_id_of;
-    GraphDb flat = db.Compact(&old_id_of);
-    RPQRES_ASSIGN_OR_RETURN(
-        ResilienceResult result,
-        SolveBruteForceResilienceBetween(lang, flat, source, target,
-                                         semantics, max_facts));
-    for (FactId& f : result.contingency) f = old_id_of[f];
-    return result;
-  }
-  ResilienceResult result;
-  result.algorithm = "brute force, fixed endpoints";
-  if (db.num_facts() > max_facts || max_facts > 24) {
-    return Status::OutOfRange("brute force limited to " +
-                              std::to_string(std::min(max_facts, 24)) +
-                              " facts, database has " +
-                              std::to_string(db.num_facts()));
-  }
-  if (lang.ContainsEpsilon() && source == target) {
-    result.infinite = true;
-    return result;
-  }
-  int n = db.num_facts();
-  Capacity best = kInfiniteCapacity;
-  uint32_t best_mask = 0;
-  std::vector<bool> removed(n, false);
-  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
-    Capacity cost = 0;
-    bool touches_exogenous = false;
-    for (int f = 0; f < n; ++f) {
-      removed[f] = (mask >> f) & 1u;
-      if (removed[f]) {
-        if (db.IsExogenous(f)) {
-          touches_exogenous = true;
-        } else {
-          cost += db.Cost(f, semantics);
-        }
-      }
-    }
-    if (touches_exogenous || cost >= best) continue;
-    if (!EvaluatesToTrueBetween(db, lang.enfa(), source, target,
-                                &removed)) {
-      best = cost;
-      best_mask = mask;
-    }
-  }
-  if (best == kInfiniteCapacity) {
-    result.infinite = true;
-    return result;
-  }
-  result.value = best;
-  for (int f = 0; f < n; ++f) {
-    if ((best_mask >> f) & 1u) result.contingency.push_back(f);
-  }
-  result.search_nodes = 1ull << n;
-  return result;
+  return BruteForce(lang, db, source, target, semantics, max_facts,
+                    "brute force, fixed endpoints");
 }
 
 Result<ResilienceResult> SolveHittingSetResilience(const Language& lang,

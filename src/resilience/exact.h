@@ -9,11 +9,24 @@
 //    regular languages, set and bag semantics.
 //  * SolveBruteForceResilience — enumeration of all fact subsets; only for
 //    tiny instances, used to validate the branch & bound itself.
+//
+// Prepared tables and scratch. The branch & bound runs one product BFS
+// (graphdb/rpq_eval SearchProduct) per search node. Everything that BFS
+// reads about the query — IF(L)'s letter-transition CSR, whether its
+// initial closure accepts, the final bits — is an ExactPlan, built once
+// per query by PrepareExactPlan (the planner stores it in
+// ResiliencePlan::exact). Everything transient — the BFS seen set,
+// parents and queue, the removal mask, the per-depth match stack and the
+// incumbent — lives in the exact section of a SolverScratch: the caller's
+// (the engine passes its per-thread scratch), or else the calling
+// thread's SolverScratch::ThreadLocal(). With a warm scratch a plan solve
+// allocates only the returned result.
 
 #ifndef RPQRES_RESILIENCE_EXACT_H_
 #define RPQRES_RESILIENCE_EXACT_H_
 
 #include "graphdb/graph_db.h"
+#include "graphdb/rpq_eval.h"
 #include "lang/language.h"
 #include "resilience/result.h"
 #include "util/cancel.h"
@@ -34,18 +47,31 @@ struct ExactOptions {
   const CancelToken* cancel = nullptr;
 };
 
+/// The query-only part of an exact solve: IF(L)'s automaton as the
+/// product BFS reads it.
+struct ExactPlan {
+  ProductAutomaton automaton;
+};
+
+/// Prepares the exact solver's tables for an infix-free language (a
+/// plan's IF(L)); the search runs over it as is.
+ExactPlan PrepareExactPlan(const Language& ifl);
+
 /// Exact resilience for an arbitrary regular language (exponential time).
-/// Searches over IF(L) (same query, shorter witness matches).
+/// Searches over IF(L) (same query, shorter witness matches). One-shot:
+/// derives IF(L) and its ExactPlan first.
 Result<ResilienceResult> SolveExactResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics,
                                               const ExactOptions& options = {});
 
-/// SolveExactResilience for a language that is already infix-free — a
-/// plan's IF(L) — without deriving IF again.
-Result<ResilienceResult> SolveExactResilienceWithIF(
-    const Language& ifl, const GraphDb& db, Semantics semantics,
-    const ExactOptions& options = {});
+/// SolveExactResilience over prepared tables, searching with `scratch`
+/// (the calling thread's scratch when null). Under bag semantics,
+/// OutOfRange when the database's endogenous multiplicities sum past
+/// kMaxTotalMultiplicity.
+Result<ResilienceResult> SolveExactResilienceWithPlan(
+    const ExactPlan& plan, const GraphDb& db, Semantics semantics,
+    const ExactOptions& options = {}, SolverScratch* scratch = nullptr);
 
 /// All-subsets brute force; requires db.num_facts() <= max_facts (<= 24).
 Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,

@@ -29,7 +29,8 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
   ResiliencePlan plan{std::move(ifl),          ResilienceMethod::kExact,
                       /*trivial_infinite=*/false, /*trivial_empty=*/false,
                       /*ro_enfa=*/std::nullopt,  /*ro_tables=*/std::nullopt,
-                      /*bcl=*/std::nullopt,      /*one_dangling=*/std::nullopt};
+                      /*bcl=*/std::nullopt,      /*one_dangling=*/std::nullopt,
+                      /*exact=*/std::nullopt};
   if (plan.if_language.ContainsEpsilon()) {
     plan.trivial_infinite = true;
     return plan;
@@ -65,6 +66,7 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
         plan.if_language.description() + " and exponential fallback disabled");
   }
   plan.method = ResilienceMethod::kExact;
+  plan.exact = PrepareExactPlan(plan.if_language);
   return plan;
 }
 
@@ -83,6 +85,9 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
     result.algorithm = "trivial (L = ∅)";
     return result;
   }
+  if (semantics == Semantics::kBag) {
+    RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
+  }
   switch (plan.method) {
     case ResilienceMethod::kLocalFlow:
       if (!plan.ro_tables) break;
@@ -98,12 +103,13 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
                                                 semantics, label_index,
                                                 scratch);
     case ResilienceMethod::kExact: {
-      // The branch & bound does not take a scratch; bracket it here so
-      // the trace still attributes the (potentially exponential) time.
+      if (!plan.exact) break;
+      // One span for the whole (potentially exponential) search; the
+      // branch & bound records no child spans.
       obs::ScopedSpan span(scratch != nullptr ? scratch->trace : nullptr,
                            obs::SpanKind::kExactSearch);
-      return SolveExactResilienceWithIF(plan.if_language, db, semantics,
-                                        exact_options);
+      return SolveExactResilienceWithPlan(*plan.exact, db, semantics,
+                                          exact_options, scratch);
     }
     case ResilienceMethod::kBruteForce:
       return SolveBruteForceResilience(plan.if_language, db, semantics);
@@ -119,6 +125,11 @@ Result<ResilienceResult> ComputeResilience(const Language& lang,
                                            const GraphDb& db,
                                            Semantics semantics,
                                            const ResilienceOptions& options) {
+  if (options.method != ResilienceMethod::kAuto &&
+      semantics == Semantics::kBag) {
+    // A forced solver skips the plan path's check.
+    RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
+  }
   switch (options.method) {
     case ResilienceMethod::kLocalFlow:
       return SolveLocalResilience(lang, db, semantics);

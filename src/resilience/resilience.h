@@ -78,6 +78,9 @@ struct ResiliencePlan {
   /// kOneDanglingFlow: the orientation, x, y, the fresh letter z and the
   /// Thm 3.13 tables of the x → xz-rewritten base of Prp 7.9.
   std::optional<OneDanglingPlan> one_dangling;
+  /// kExact: IF(L)'s automaton as the branch & bound's product BFS reads
+  /// it (letter-transition CSR, initial closure, final bits).
+  std::optional<ExactPlan> exact;
 };
 
 /// Derives the kAuto dispatch plan for `lang`. Plans are a kAuto notion:
@@ -99,18 +102,18 @@ Result<ResiliencePlan> PlanResilienceWithIF(
 /// work: parse, determinize, IF, classification, and each solver's
 /// preparation (RO-εNFA tables for local; forced letters, words and
 /// endpoint sides for BCL; orientation, fresh letter and rewritten-base
-/// tables for one-dangling). The exact solver searches `plan.if_language`
-/// directly.
+/// tables for one-dangling; product tables for exact).
 /// `exact_options` only applies when the plan routes to the exact solver
 /// (adversarial instances can make the branch & bound explode; callers
 /// like the differential oracle bound it and treat OutOfRange as an
 /// inconclusive budget exhaustion, not an answer). `label_index`, when
 /// given, must be built from `db`; the flow solvers then iterate per-label
 /// fact lists instead of scanning every fact (the DbRegistry snapshot hot
-/// path). `scratch`, when given, supplies the reusable flow solver arena
-/// (flow/solver_scratch.h); the flow solvers otherwise fall back to the
+/// path). `scratch`, when given, supplies the reusable solver arena
+/// (flow/solver_scratch.h); the solvers otherwise fall back to the
 /// calling thread's shared scratch, so repeated calls are allocation-free
-/// in steady state either way.
+/// in steady state either way. Under bag semantics, OutOfRange when the
+/// database's endogenous multiplicities sum past kMaxTotalMultiplicity.
 Result<ResilienceResult> ComputeResilienceWithPlan(
     const ResiliencePlan& plan, const GraphDb& db, Semantics semantics,
     const ExactOptions& exact_options = {},

@@ -7,6 +7,7 @@
 #include "graphdb/graph_db.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
+#include "mirror_db.h"
 #include "util/rng.h"
 
 namespace rpqres {
@@ -71,7 +72,7 @@ TEST(GraphDbTest, RemoveFactsAndMirror) {
   EXPECT_EQ(removed.fact(0).label, 'b');
   EXPECT_EQ(removed.num_nodes(), 2);
 
-  GraphDb mirrored = db.MirrorDb();
+  GraphDb mirrored = MirrorOf(db);
   EXPECT_EQ(mirrored.num_facts(), 2);
   // Fact ids preserved, direction flipped.
   EXPECT_EQ(mirrored.fact(f1).source, v);

@@ -165,6 +165,54 @@ TEST(GraphDbOverlayTest, AggregatesSkipDeadFacts) {
   EXPECT_EQ(overlay.ToString().find('x'), std::string::npos);
 }
 
+// TotalCost and NumExogenous are O(1) running totals; after every kind of
+// mutation (new facts, multiplicity bumps on overlay and base facts,
+// exogenous toggles, tombstones, chained overlays) they must equal a
+// recount over the live facts.
+TEST(GraphDbOverlayTest, RunningTotalsMatchARecountAfterEveryMutation) {
+  auto expect_recount = [](const GraphDb& db) {
+    Capacity bag = 0, set = 0;
+    int exogenous = 0;
+    for (FactId f = 0; f < db.num_facts(); ++f) {
+      if (!db.IsLive(f)) continue;
+      if (db.IsExogenous(f)) {
+        ++exogenous;
+      } else {
+        bag += db.multiplicity(f);
+        ++set;
+      }
+    }
+    EXPECT_EQ(db.TotalCost(Semantics::kBag), bag);
+    EXPECT_EQ(db.TotalCost(Semantics::kSet), set);
+    EXPECT_EQ(db.NumExogenous(), exogenous);
+  };
+  GraphDb flat = SmallDb();
+  flat.SetExogenous(2);
+  flat.AddFact(0, 'a', 1, 4);  // bump an endogenous fact
+  flat.AddFact(0, 'b', 2, 5);  // bump an exogenous fact
+  expect_recount(flat);
+  auto base = std::make_shared<const GraphDb>(flat);
+  GraphDb overlay = GraphDb::MakeOverlay(base);
+  expect_recount(overlay);
+  FactId added = overlay.AddFact(2, 'c', 0, 7);
+  overlay.AddFact(1, 'x', 2, 2);  // override on a base fact
+  expect_recount(overlay);
+  overlay.SetExogenous(added);
+  expect_recount(overlay);
+  overlay.SetExogenous(added, false);
+  overlay.SetExogenous(added, false);  // no-op toggle
+  expect_recount(overlay);
+  ASSERT_TRUE(overlay.RemoveFact(1, 'x', 2).ok());  // overridden base fact
+  ASSERT_TRUE(overlay.RemoveFact(0, 'b', 2).ok());  // exogenous base fact
+  expect_recount(overlay);
+  auto parent = std::make_shared<const GraphDb>(overlay);
+  GraphDb chained = GraphDb::MakeOverlay(parent);
+  ASSERT_TRUE(chained.RemoveFact(2, 'c', 0).ok());
+  chained.AddFact(1, 'x', 2, 3);  // re-add after the tombstone
+  expect_recount(chained);
+  expect_recount(chained.Compact());
+}
+
 // --- incremental LabelIndex -------------------------------------------------
 
 TEST(LabelIndexIncrementalTest, SharesUntouchedLabelsAndPatchesTouched) {

@@ -7,6 +7,7 @@
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
 #include "lang/language.h"
+#include "mirror_db.h"
 #include "resilience/resilience.h"
 #include "util/rng.h"
 
@@ -104,7 +105,7 @@ TEST_P(MirrorIdentityTest, MirrorPreservesResilience) {
     Result<ResilienceResult> direct =
         ComputeResilience(lang, db, semantics);
     Result<ResilienceResult> mirrored =
-        ComputeResilience(lang.Mirror(), db.MirrorDb(), semantics);
+        ComputeResilience(lang.Mirror(), MirrorOf(db), semantics);
     ASSERT_TRUE(direct.ok()) << direct.status();
     ASSERT_TRUE(mirrored.ok()) << mirrored.status();
     EXPECT_EQ(direct->infinite, mirrored->infinite);

@@ -10,6 +10,7 @@
 #include "graphdb/graph_db.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
+#include "mirror_db.h"
 #include "resilience/bcl_resilience.h"
 #include "resilience/exact.h"
 #include "resilience/local_resilience.h"
@@ -34,7 +35,7 @@ TEST(ExogenousTest, CostIsInfinite) {
 TEST(ExogenousTest, FlagSurvivesCopies) {
   GraphDb db = PathDb("ab");
   db.SetExogenous(0);
-  EXPECT_TRUE(db.MirrorDb().IsExogenous(0));
+  EXPECT_TRUE(MirrorOf(db).IsExogenous(0));
   EXPECT_TRUE(db.RemoveFacts({1}).IsExogenous(0));
 }
 
