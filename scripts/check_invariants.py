@@ -23,6 +23,13 @@ about, enforced over the source tree:
       definition) must carry an inline justification comment on the
       same or the preceding line. Blanket analysis opt-outs rot.
 
+  solver-fact-access
+      src/resilience/ reads per-label facts through a LabelIndex and
+      nothing else. Per-node scans (`OutFactsLive(`, `InFactsLive(`,
+      `OutFacts(`, `InFacts(`) and a null check on a label index
+      (`label_index == nullptr`, `index_ != nullptr`, ...) would bring
+      back a second, unindexed solver path.
+
 Suppressions: a violating line is waived by `invariant-ok: <reason>`
 (optionally `invariant-ok(<rule>): <reason>`) in a comment on the same
 line or the line directly above. The reason is mandatory — an empty
@@ -57,6 +64,14 @@ NONDETERMINISM_RES = [
 ]
 
 TSA_OPTOUT = "RPQRES_NO_THREAD_SAFETY_ANALYSIS"
+
+# The access paths src/resilience/ must not use beside its LabelIndex.
+SOLVER_FACT_ACCESS_RES = [
+    (re.compile(r"\b(Out|In)Facts(Live)?\s*\("), "per-node fact scan"),
+    (re.compile(r"\b(label_index|index_)\s*[!=]=\s*nullptr\b|"
+                r"\bnullptr\s*[!=]=\s*(label_index|index_)\b"),
+     "null check on a label index"),
+]
 
 
 class Finding:
@@ -98,6 +113,7 @@ def scan_file(rel_path: str, text: str):
     lines = text.splitlines()
     in_storage = rel_path.startswith("src/storage/")
     in_workload = rel_path.startswith("src/workload/")
+    in_resilience = rel_path.startswith("src/resilience/")
     is_annotation_header = rel_path.endswith("util/thread_annotations.h")
 
     def check(idx: int, rule: str, message: str):
@@ -126,6 +142,13 @@ def scan_file(rel_path: str, text: str):
                     check(idx, "workload-nondeterminism",
                           f"{what} in the deterministic workload layer — "
                           "draw from the seeded rng instead")
+        if in_resilience:
+            for pattern, what in SOLVER_FACT_ACCESS_RES:
+                if pattern.search(line):
+                    check(idx, "solver-fact-access",
+                          f"{what} in a solver — read facts through the "
+                          "LabelIndex (LabelIndex::Facts / FactsFrom / "
+                          "FactsInto)")
         if TSA_OPTOUT in line and not is_annotation_header:
             # The opt-out demands a justification comment on its line or
             # the one above; reuse the suppression mechanism for that.
@@ -207,6 +230,26 @@ SELF_TEST_CASES = [
         "// invariant-ok(tsa-suppression-justified): racy-read stats probe,\n"
         "void Peek() RPQRES_NO_THREAD_SAFETY_ANALYSIS {\n"
         "}\n",
+        [],
+    ),
+    (
+        "src/resilience/bad_solver.cc",
+        "for (FactId f : db.OutFactsLive(v)) visit(f);\n"
+        "for (FactId f : db_.InFacts(v)) visit(f);\n"
+        "if (label_index != nullptr) return;\n"
+        "if (index_ == nullptr) return;\n"
+        "for (FactId f : index_.FactsFrom(label, v)) visit(f);\n",
+        [
+            ("solver-fact-access", 1),
+            ("solver-fact-access", 2),
+            ("solver-fact-access", 3),
+            ("solver-fact-access", 4),
+        ],
+    ),
+    (
+        # The same scans are fine outside the solvers.
+        "src/graphdb/rpq_eval.cc",
+        "for (FactId f : db.OutFactsLive(v)) visit(f);\n",
         [],
     ),
     (

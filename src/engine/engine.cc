@@ -720,7 +720,7 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
       }
       return SolveLocalResilienceFixedEndpointsWithTables(
           *query.ro_tables_exact, db.db(), *request.source, *request.target,
-          query.semantics, db.label_index(), &scratch);
+          query.semantics, *db.label_index(), &scratch);
     }
     if (request_options.method.has_value() &&
         *request_options.method != ResilienceMethod::kAuto) {

@@ -22,11 +22,9 @@ size_t SolverScratch::total_capacity_bytes() const {
          product_id.capacity_bytes() + VectorBytes(fwd_visited) +
          VectorBytes(bwd_queue) + VectorBytes(live_list) +
          VectorBytes(candidate_facts) + VectorBytes(start_of) +
-         VectorBytes(end_of) + VectorBytes(label_bucket_offset) +
-         VectorBytes(label_bucket) + VectorBytes(node_bucket_offset) +
-         VectorBytes(node_bucket) + VectorBytes(node_bucket_cursor) +
-         VectorBytes(x_in_cost) + VectorBytes(y_out_cost) +
-         VectorBytes(in_node) + VectorBytes(in_origin) + VectorBytes(fact_cut) +
+         VectorBytes(end_of) + VectorBytes(x_in_cost) +
+         VectorBytes(y_out_cost) + VectorBytes(in_node) +
+         VectorBytes(in_origin) + VectorBytes(fact_cut) +
          product_seen.capacity_bytes() + VectorBytes(product_parent_fact) +
          VectorBytes(product_parent) + VectorBytes(product_queue) +
          VectorBytes(closure_stack) + VectorBytes(walk) +

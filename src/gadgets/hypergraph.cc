@@ -38,27 +38,43 @@ std::string Hypergraph::ToString() const {
 
 namespace {
 
+// A DFS frame: one node and the position in its live out-facts.
+struct OutCursor {
+  NodeId node;
+  GraphDb::IncidentFacts::iterator next, end;
+
+  static OutCursor At(const GraphDb& db, NodeId v) {
+    GraphDb::IncidentFacts out = db.OutFactsLive(v);
+    return OutCursor{v, out.begin(), out.end()};
+  }
+  bool done() const { return next == end; }
+  FactId Next() {
+    FactId f = *next;
+    ++next;
+    return f;
+  }
+};
+
 // True iff the fact graph of `db` has a directed cycle (nodes as vertices).
 bool HasDirectedCycle(const GraphDb& db) {
   int n = db.num_nodes();
   std::vector<int> color(n, 0);
   for (int root = 0; root < n; ++root) {
     if (color[root] != 0) continue;
-    std::vector<std::pair<int, size_t>> stack{{root, 0}};
+    std::vector<OutCursor> stack{OutCursor::At(db, root)};
     color[root] = 1;
     while (!stack.empty()) {
-      auto& [v, i] = stack.back();
-      if (i >= db.OutFacts(v).size()) {
-        color[v] = 2;
+      OutCursor& top = stack.back();
+      if (top.done()) {
+        color[top.node] = 2;
         stack.pop_back();
         continue;
       }
-      NodeId to = db.fact(db.OutFacts(v)[i]).target;
-      ++i;
+      NodeId to = db.fact(top.Next()).target;
       if (color[to] == 1) return true;
       if (color[to] == 0) {
         color[to] = 1;
-        stack.push_back({to, 0});
+        stack.push_back(OutCursor::At(db, to));
       }
     }
   }
@@ -103,17 +119,12 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
   std::vector<FactId> walk;
   std::string label;
 
-  // Recursive lambda via explicit stack of (node, next fact index).
+  // Depth-first over an explicit stack of out-fact cursors.
   for (NodeId start = 0; start < db.num_nodes(); ++start) {
-    struct Frame {
-      NodeId node;
-      size_t index = 0;
-    };
-    std::vector<Frame> stack{{start}};
+    std::vector<OutCursor> stack{OutCursor::At(db, start)};
     while (!stack.empty()) {
-      Frame& frame = stack.back();
-      if (frame.index >= db.OutFacts(frame.node).size() ||
-          static_cast<int>(walk.size()) >= max_length) {
+      OutCursor& frame = stack.back();
+      if (frame.done() || static_cast<int>(walk.size()) >= max_length) {
         stack.pop_back();
         if (!walk.empty()) {
           walk.pop_back();
@@ -121,7 +132,7 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
         }
         continue;
       }
-      FactId f = db.OutFacts(frame.node)[frame.index++];
+      FactId f = frame.Next();
       if (++walks > max_walks) {
         return Status::OutOfRange("HypergraphOfMatches: more than " +
                                   std::to_string(max_walks) + " walks");
@@ -134,7 +145,7 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
         match.erase(std::unique(match.begin(), match.end()), match.end());
         matches.insert(std::move(match));
       }
-      stack.push_back(Frame{db.fact(f).target});
+      stack.push_back(OutCursor::At(db, db.fact(f).target));
     }
     RPQRES_DCHECK(walk.empty());
   }

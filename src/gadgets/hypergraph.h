@@ -35,7 +35,8 @@ struct Hypergraph {
 /// walks: all walks of length <= longest word for finite L, or all walks of
 /// the (then required) acyclic database for infinite L. Two safeguards:
 /// `max_walks` bounds enumeration, and infinite L + cyclic D is rejected
-/// (matches could not be enumerated as walks).
+/// (matches could not be enumerated as walks). Walks use live facts only,
+/// so on a versioned overlay a tombstoned id is a vertex of no hyperedge.
 Result<Hypergraph> HypergraphOfMatches(const Language& lang,
                                        const GraphDb& db,
                                        size_t max_walks = 1 << 22);

@@ -26,8 +26,7 @@
 // network, or a serialization. Code that indexes storage by fact id
 // (cost arrays, removal masks) keeps working unchanged; code that
 // *enumerates* facts must either use the live views or guard with
-// IsLive. The legacy OutFacts/InFacts spans remain for flat databases
-// only.
+// IsLive.
 
 #ifndef RPQRES_GRAPHDB_GRAPH_DB_H_
 #define RPQRES_GRAPHDB_GRAPH_DB_H_
@@ -35,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -171,19 +169,6 @@ class GraphDb {
                             : node_names_[id - base_nodes_];
   }
 
-  /// Fact ids whose source is `node`. Flat databases only (an overlay has
-  /// no single contiguous per-node list) — use OutFactsLive there. On a
-  /// mapped database the span points into the mmap'ed CSR arrays.
-  std::span<const FactId> OutFacts(NodeId node) const {
-    auto [first, last] = FlatIncidentRange(node, /*out=*/true);
-    return {first, static_cast<size_t>(last - first)};
-  }
-  /// Fact ids whose target is `node`. Flat databases only.
-  std::span<const FactId> InFacts(NodeId node) const {
-    auto [first, last] = FlatIncidentRange(node, /*out=*/false);
-    return {first, static_cast<size_t>(last - first)};
-  }
-
   // --- versioned overlays ---------------------------------------------------
 
   /// True when this database is a copy-on-write overlay over a shared
@@ -302,7 +287,8 @@ class GraphDb {
   };
 
   /// Live facts out of / into `node`, in ascending id order. Works for
-  /// both layouts; on flat databases this is as cheap as OutFacts.
+  /// every layout; on a flat database it walks the plain per-node list
+  /// (on a mapped one, the mmap'ed CSR arrays).
   IncidentFacts OutFactsLive(NodeId node) const {
     return IncidentView(node, /*out=*/true);
   }

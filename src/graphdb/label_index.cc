@@ -42,11 +42,24 @@ std::shared_ptr<const LabelIndex::PerLabel> LabelIndex::BuildEntry(
   return entry;
 }
 
-LabelIndex LabelIndex::FromMapped(
-    const std::vector<MappedLabelEntry>& entries,
-    std::shared_ptr<const void> mapping) {
+LabelIndex::Entry LabelIndex::entry(char label) const {
+  Entry out;
+  out.label = label;
+  int16_t slot = slot_[static_cast<unsigned char>(label)];
+  if (slot < 0) return out;
+  const PerLabel& e = *per_label_[slot];
+  out.facts = e.facts;
+  out.by_source = e.by_source;
+  out.source_offset = e.source_offset;
+  out.by_target = e.by_target;
+  out.target_offset = e.target_offset;
+  return out;
+}
+
+LabelIndex LabelIndex::FromMapped(const std::vector<Entry>& entries,
+                                  std::shared_ptr<const void> mapping) {
   LabelIndex out;
-  for (const MappedLabelEntry& e : entries) {
+  for (const Entry& e : entries) {
     auto entry = std::make_shared<PerLabel>();
     entry->facts = e.facts;
     entry->by_source = e.by_source;

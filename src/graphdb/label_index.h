@@ -1,12 +1,13 @@
 // rpqres — graphdb/label_index: precomputed per-label fact adjacency.
 //
-// Flow-network construction (Thm 3.13 and friends) visits exactly the
-// facts whose label occurs in the query language; a GraphDb only offers
-// the full fact array, so every solve would re-scan all facts and filter
-// by label. A LabelIndex is built once per immutable database snapshot
-// (the DbRegistry does this at Register time) and shared by every query
-// against that snapshot: solvers iterate the per-label fact lists
-// directly, skipping inert facts without touching them.
+// LabelIndex is the one per-label view of a database. The three
+// polynomial solvers (Thm 3.13, Prp 7.6, Prp 7.9) touch only the facts
+// whose label the query uses, and they reach those facts through an
+// index and nothing else; the segment writer stores an index's entries
+// verbatim, so a reopened index answers identically. A LabelIndex is
+// built once per immutable database snapshot (the DbRegistry does this
+// at Register time) and shared by every query against that snapshot;
+// one-shot callers without a snapshot build one on demand.
 //
 // Beyond the flat per-label lists, the index stores a per-label CSR over
 // source and target nodes (FactsFrom / FactsInto): the product-pruning
@@ -100,10 +101,10 @@ class LabelIndex {
   /// delta-commit path.
   int shared_labels() const { return shared_labels_; }
 
-  /// One label's pre-built CSR arrays inside an mmap'ed segment, for
-  /// FromMapped. Layouts match PerLabel exactly; offsets have
-  /// num_nodes + 1 entries.
-  struct MappedLabelEntry {
+  /// One label's CSR arrays as spans: what entry() reads out of an index
+  /// and what FromMapped wraps from an mmap'ed segment. Layouts match
+  /// PerLabel exactly; offsets have num_nodes + 1 entries at build time.
+  struct Entry {
     char label = '\0';
     std::span<const FactId> facts;
     std::span<const FactId> by_source;
@@ -112,12 +113,15 @@ class LabelIndex {
     std::span<const int32_t> target_offset;
   };
 
+  /// The spans of `label`'s entry; all empty when the label is absent.
+  Entry entry(char label) const;
+
   /// Wraps pre-built per-label CSR arrays living in an external buffer
   /// (an mmap'ed segment) without copying them. `entries` must be sorted
   /// by label (as unsigned char); `mapping` keeps the buffer alive and is
   /// pinned per entry, so incremental child indexes that share an entry
   /// keep the mapping alive too.
-  static LabelIndex FromMapped(const std::vector<MappedLabelEntry>& entries,
+  static LabelIndex FromMapped(const std::vector<Entry>& entries,
                                std::shared_ptr<const void> mapping);
 
  private:

@@ -46,20 +46,22 @@ struct BclPlan {
 BclPlan PrepareBclPlan(const BipartiteChain& chain);
 
 /// Solves RES(Q_L, D) from a prepared plan: per-database work only.
-/// `label_index` (optional, built from `db`) restricts every fact visit to
-/// the labels the chain words use; `scratch` (optional) supplies the
-/// reusable solver arena, defaulting to the calling thread's shared
-/// scratch.
-ResilienceResult SolveBclResilienceWithPlan(
-    const BclPlan& plan, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
+/// `index` must be built from `db`; every fact visit goes through it and
+/// touches only the labels the chain words use. `scratch` (optional)
+/// supplies the reusable solver arena, defaulting to the calling thread's
+/// shared scratch.
+ResilienceResult SolveBclResilienceWithPlan(const BclPlan& plan,
+                                            const GraphDb& db,
+                                            Semantics semantics,
+                                            const LabelIndex& index,
+                                            SolverScratch* scratch = nullptr);
 
-/// One-shot form: IF(L), AnalyzeBipartiteChain and PrepareBclPlan, then
-/// SolveBclResilienceWithPlan. FailedPrecondition unless IF(L) is a
-/// bipartite chain language.
-Result<ResilienceResult> SolveBclResilience(
-    const Language& lang, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
+/// One-shot form: IF(L), AnalyzeBipartiteChain, PrepareBclPlan and `db`'s
+/// LabelIndex, then SolveBclResilienceWithPlan. FailedPrecondition unless
+/// IF(L) is a bipartite chain language.
+Result<ResilienceResult> SolveBclResilience(const Language& lang,
+                                            const GraphDb& db,
+                                            Semantics semantics);
 
 }  // namespace rpqres
 

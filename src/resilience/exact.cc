@@ -290,16 +290,6 @@ Result<ResilienceResult> SolveHittingSetResilience(const Language& lang,
                                                    Semantics semantics) {
   ResilienceResult result;
   result.algorithm = "hypergraph hitting set (Def 4.7)";
-  if (db.is_versioned()) {
-    // Match enumeration walks the flat per-node adjacency; materialize.
-    std::vector<FactId> old_id_of;
-    GraphDb flat = db.Compact(&old_id_of);
-    RPQRES_ASSIGN_OR_RETURN(
-        ResilienceResult remapped,
-        SolveHittingSetResilience(lang, flat, semantics));
-    for (FactId& f : remapped.contingency) f = old_id_of[f];
-    return remapped;
-  }
   Language ifl = InfixFreeSublanguage(lang);
   if (ifl.ContainsEpsilon()) {
     result.infinite = true;

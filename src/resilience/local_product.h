@@ -6,8 +6,8 @@
 // contingency set. It is written against a small *fact source* concept
 // instead of GraphDb, so one implementation serves both callers:
 //
-//  * DbFacts — a GraphDb, through its LabelIndex when one is given (the
-//    local solver, Thm 3.13);
+//  * DbFacts — a GraphDb through its LabelIndex (the local solver,
+//    Thm 3.13);
 //  * the one-dangling rewrite D' of Prp 7.9, which is a view over the
 //    caller's database (one_dangling_resilience.cc): it reorients edges,
 //    redirects x-facts and adds the z-facts without materializing D'.
@@ -44,14 +44,13 @@
 
 namespace rpqres {
 
-/// The fact source over a GraphDb. With a LabelIndex (built from `db`)
-/// every visit touches only facts whose label the automaton reads;
-/// without one it scans each node's live facts and filters by label.
+/// The fact source over a GraphDb, read through its LabelIndex: every
+/// visit touches only facts whose label the automaton reads.
 class DbFacts {
  public:
   DbFacts(const RoProductTables& t, const GraphDb& db, Semantics semantics,
-          const LabelIndex* label_index)
-      : t_(t), db_(db), semantics_(semantics), index_(label_index) {}
+          const LabelIndex& index)
+      : t_(t), db_(db), semantics_(semantics), index_(index) {}
 
   int num_nodes() const { return db_.num_nodes(); }
   const Fact& fact(FactId f) const { return db_.fact(f); }
@@ -59,56 +58,31 @@ class DbFacts {
 
   template <typename Visit>
   void ForEachOut(NodeId v, int s, Visit&& visit) const {
-    if (index_ != nullptr) {
-      for (int32_t i = t_.labels_out_offset[s]; i < t_.labels_out_offset[s + 1];
-           ++i) {
-        const char label = static_cast<char>(t_.labels_out[i]);
-        for (FactId f : index_->FactsFrom(label, v)) {
-          visit(f, db_.fact(f).target, t_.labels_out[i]);
-        }
+    for (int32_t i = t_.labels_out_offset[s]; i < t_.labels_out_offset[s + 1];
+         ++i) {
+      const char label = static_cast<char>(t_.labels_out[i]);
+      for (FactId f : index_.FactsFrom(label, v)) {
+        visit(f, db_.fact(f).target, t_.labels_out[i]);
       }
-      return;
-    }
-    for (FactId f : db_.OutFactsLive(v)) {
-      const Fact& fact = db_.fact(f);
-      const unsigned char label = static_cast<unsigned char>(fact.label);
-      if (t_.letter_from[label] == s) visit(f, fact.target, label);
     }
   }
 
   template <typename Visit>
   void ForEachIn(NodeId v, int s, Visit&& visit) const {
-    if (index_ != nullptr) {
-      for (int32_t i = t_.labels_in_offset[s]; i < t_.labels_in_offset[s + 1];
-           ++i) {
-        const char label = static_cast<char>(t_.labels_in[i]);
-        for (FactId f : index_->FactsInto(label, v)) {
-          visit(f, db_.fact(f).source, t_.labels_in[i]);
-        }
+    for (int32_t i = t_.labels_in_offset[s]; i < t_.labels_in_offset[s + 1];
+         ++i) {
+      const char label = static_cast<char>(t_.labels_in[i]);
+      for (FactId f : index_.FactsInto(label, v)) {
+        visit(f, db_.fact(f).source, t_.labels_in[i]);
       }
-      return;
-    }
-    for (FactId f : db_.InFactsLive(v)) {
-      const Fact& fact = db_.fact(f);
-      const unsigned char label = static_cast<unsigned char>(fact.label);
-      if (t_.letter_to[label] == s) visit(f, fact.source, label);
     }
   }
 
   template <typename Visit>
   void ForEachReadable(Visit&& visit) const {
-    if (index_ != nullptr) {
-      for (int l = 0; l < 256; ++l) {
-        if (t_.letter_from[l] < 0) continue;
-        for (FactId f : index_->Facts(static_cast<char>(l))) visit(f);
-      }
-      return;
-    }
-    for (FactId f = 0; f < db_.num_facts(); ++f) {
-      if (!db_.IsLive(f)) continue;
-      if (t_.letter_from[static_cast<unsigned char>(db_.fact(f).label)] >= 0) {
-        visit(f);
-      }
+    for (int l = 0; l < 256; ++l) {
+      if (t_.letter_from[l] < 0) continue;
+      for (FactId f : index_.Facts(static_cast<char>(l))) visit(f);
     }
   }
 
@@ -116,7 +90,7 @@ class DbFacts {
   const RoProductTables& t_;
   const GraphDb& db_;
   Semantics semantics_;
-  const LabelIndex* index_;
+  const LabelIndex& index_;
 };
 
 /// Thm 3.13's product network N_{D,A} over `facts`, built directly into

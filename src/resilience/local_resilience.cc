@@ -14,14 +14,14 @@ namespace {
 ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
                                    Semantics semantics, NodeId fixed_source,
                                    NodeId fixed_target,
-                                   const LabelIndex* label_index,
+                                   const LabelIndex& index,
                                    SolverScratch* scratch) {
   if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
   ResilienceResult result;
   result.algorithm = fixed_source < 0
                          ? "local flow (Thm 3.13)"
                          : "local flow, fixed endpoints (Thm 3.13 ext)";
-  RunLocalProduct(t, DbFacts(t, db, semantics, label_index), fixed_source,
+  RunLocalProduct(t, DbFacts(t, db, semantics, index), fixed_source,
                   fixed_target, scratch, &result);
   return result;
 }
@@ -59,17 +59,17 @@ RoProductTables MustBuildTables(const Enfa& ro) {
 ResilienceResult SolveLocalResilienceWithTables(const RoProductTables& tables,
                                                 const GraphDb& db,
                                                 Semantics semantics,
-                                                const LabelIndex* label_index,
+                                                const LabelIndex& index,
                                                 SolverScratch* scratch) {
   return SolveLocalProduct(tables, db, semantics, /*fixed_source=*/-1,
-                           /*fixed_target=*/-1, label_index, scratch);
+                           /*fixed_target=*/-1, index, scratch);
 }
 
-ResilienceResult SolveLocalResilienceWithRoEnfa(
-    const Enfa& ro, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index, SolverScratch* scratch) {
+ResilienceResult SolveLocalResilienceWithRoEnfa(const Enfa& ro,
+                                                const GraphDb& db,
+                                                Semantics semantics) {
   return SolveLocalResilienceWithTables(MustBuildTables(ro), db, semantics,
-                                        label_index, scratch);
+                                        LabelIndex(db));
 }
 
 Result<ResilienceResult> SolveLocalResilience(const Language& lang,
@@ -82,9 +82,9 @@ Result<ResilienceResult> SolveLocalResilience(const Language& lang,
 
 ResilienceResult SolveLocalResilienceFixedEndpointsWithTables(
     const RoProductTables& tables, const GraphDb& db, NodeId source,
-    NodeId target, Semantics semantics, const LabelIndex* label_index,
+    NodeId target, Semantics semantics, const LabelIndex& index,
     SolverScratch* scratch) {
-  return SolveLocalProduct(tables, db, semantics, source, target, label_index,
+  return SolveLocalProduct(tables, db, semantics, source, target, index,
                            scratch);
 }
 
@@ -99,7 +99,7 @@ Result<ResilienceResult> SolveLocalResilienceFixedEndpoints(
   RPQRES_ASSIGN_OR_RETURN(Enfa ro,
                           RoEnfaForSolver(lang, /*require_exact=*/true));
   return SolveLocalResilienceFixedEndpointsWithTables(
-      MustBuildTables(ro), db, source, target, semantics);
+      MustBuildTables(ro), db, source, target, semantics, LabelIndex(db));
 }
 
 }  // namespace rpqres

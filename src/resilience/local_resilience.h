@@ -21,31 +21,29 @@ namespace rpqres {
 class SolverScratch;
 
 /// Solves RES(Q_L, D) for a language whose infix-free sublanguage is local.
-/// Fails with FailedPrecondition otherwise.
+/// Fails with FailedPrecondition otherwise. Builds `db`'s LabelIndex.
 Result<ResilienceResult> SolveLocalResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics);
 
 /// Core of Theorem 3.13: resilience given an RO-εNFA for the language.
 /// `ro` must be read-once (checked); the language may be any local language.
-/// `label_index` (optional, must be built from `db`) lets both the
-/// product-pruning sweep and the network construction visit only facts
-/// whose label the automaton reads, instead of scanning and filtering all
-/// facts — the registered-database hot path. `scratch` (optional) supplies
-/// the reusable solver arena; the calling thread's shared scratch is used
-/// when absent. Note the indexed and unindexed paths may return
-/// *different* (equally optimal, both witness-verified) minimum
-/// contingency sets, because network edge order differs.
-ResilienceResult SolveLocalResilienceWithRoEnfa(
-    const Enfa& ro, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
+/// Builds `db`'s LabelIndex and the automaton's tables, then runs
+/// SolveLocalResilienceWithTables.
+ResilienceResult SolveLocalResilienceWithRoEnfa(const Enfa& ro,
+                                                const GraphDb& db,
+                                                Semantics semantics);
 
-/// Like SolveLocalResilienceWithRoEnfa, but from tables precomputed once
-/// per automaton (BuildRoProductTables) — the plan-cache hot path, which
-/// skips all per-solve automaton preprocessing.
+/// Theorem 3.13 from tables precomputed once per automaton
+/// (BuildRoProductTables) — the plan-cache hot path, which skips all
+/// per-solve automaton preprocessing. `index` must be built from `db`:
+/// the product-pruning sweep and the network construction visit only
+/// facts whose label the automaton reads. `scratch` (optional) supplies
+/// the reusable solver arena; the calling thread's shared scratch is used
+/// when absent.
 ResilienceResult SolveLocalResilienceWithTables(
     const RoProductTables& tables, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
+    const LabelIndex& index, SolverScratch* scratch = nullptr);
 
 /// **Extension beyond the paper** (its Section 8 lists the non-Boolean
 /// setting as future work): resilience with *fixed endpoints* — the
@@ -55,7 +53,8 @@ ResilienceResult SolveLocalResilienceWithTables(
 /// where walks start or end: the network simply hooks t_source/t_target
 /// only at (source, initial) / (target, final) product vertices.
 /// (For non-local languages the problem relates to length-bounded cuts
-/// and is open; this entry point requires IF(L) local.)
+/// and is open; this entry point requires L itself local.) Builds `db`'s
+/// LabelIndex.
 Result<ResilienceResult> SolveLocalResilienceFixedEndpoints(
     const Language& lang, const GraphDb& db, NodeId source, NodeId target,
     Semantics semantics);
@@ -64,10 +63,10 @@ Result<ResilienceResult> SolveLocalResilienceFixedEndpoints(
 /// language's RO-εNFA (IF-rewriting is unsound with fixed endpoints, so
 /// callers — the engine's request path — must build the automaton from L
 /// itself, e.g. CompiledQuery::ro_tables_exact). Endpoints must be valid
-/// node ids.
+/// node ids; `index` must be built from `db`.
 ResilienceResult SolveLocalResilienceFixedEndpointsWithTables(
     const RoProductTables& tables, const GraphDb& db, NodeId source,
-    NodeId target, Semantics semantics, const LabelIndex* label_index = nullptr,
+    NodeId target, Semantics semantics, const LabelIndex& index,
     SolverScratch* scratch = nullptr);
 
 }  // namespace rpqres

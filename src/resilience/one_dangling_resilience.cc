@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "flow/solver_scratch.h"
@@ -54,15 +55,16 @@ Enfa RewriteXtoXZ(const Enfa& ro, char x, char z) {
   return out;
 }
 
-// The database as the plan reads it: every edge reversed when
-// `mirror`, through the label index when one is given. Facts keep their
-// ids, so a witness needs no translation back.
+// The database as the plan reads it, through its label index: every
+// edge reversed when `mirror`. Facts keep their ids, so a witness needs
+// no translation back.
 class OrientedDb {
  public:
-  OrientedDb(const GraphDb& db, const LabelIndex* index, bool mirror)
+  OrientedDb(const GraphDb& db, const LabelIndex& index, bool mirror)
       : db_(db), index_(index), mirror_(mirror) {}
 
   const GraphDb& db() const { return db_; }
+  const LabelIndex& index() const { return index_; }
   NodeId source(FactId f) const {
     return mirror_ ? db_.fact(f).target : db_.fact(f).source;
   }
@@ -70,46 +72,17 @@ class OrientedDb {
     return mirror_ ? db_.fact(f).source : db_.fact(f).target;
   }
 
-  // Visits every live fact carrying `label`: all of them, those leaving
-  // `v`, or those entering `v`.
-  template <typename Visit>
-  void ForEachWithLabel(char label, Visit&& visit) const {
-    if (index_ != nullptr) {
-      for (FactId f : index_->Facts(label)) visit(f);
-      return;
-    }
-    for (FactId f = 0; f < db_.num_facts(); ++f) {
-      if (db_.IsLive(f) && db_.fact(f).label == label) visit(f);
-    }
+  // The live facts carrying `label` that leave / enter `v`.
+  std::span<const FactId> OutWithLabel(NodeId v, char label) const {
+    return mirror_ ? index_.FactsInto(label, v) : index_.FactsFrom(label, v);
   }
-  template <typename Visit>
-  void ForEachOutWithLabel(NodeId v, char label, Visit&& visit) const {
-    ForEachIncident(v, label, /*out=*/!mirror_, visit);
-  }
-  template <typename Visit>
-  void ForEachInWithLabel(NodeId v, char label, Visit&& visit) const {
-    ForEachIncident(v, label, /*out=*/mirror_, visit);
+  std::span<const FactId> InWithLabel(NodeId v, char label) const {
+    return mirror_ ? index_.FactsFrom(label, v) : index_.FactsInto(label, v);
   }
 
  private:
-  // `out` is the stored direction: facts whose stored source (or, when
-  // false, stored target) is `v`.
-  template <typename Visit>
-  void ForEachIncident(NodeId v, char label, bool out, Visit&& visit) const {
-    if (index_ != nullptr) {
-      for (FactId f : out ? index_->FactsFrom(label, v)
-                          : index_->FactsInto(label, v)) {
-        visit(f);
-      }
-      return;
-    }
-    for (FactId f : out ? db_.OutFactsLive(v) : db_.InFactsLive(v)) {
-      if (db_.fact(f).label == label) visit(f);
-    }
-  }
-
   const GraphDb& db_;
-  const LabelIndex* index_;
+  const LabelIndex& index_;
   bool mirror_;
 };
 
@@ -177,10 +150,10 @@ class RewrittenFacts {
          ++i) {
       const unsigned char label = t_.labels_out[i];
       if (label == z) continue;  // z-facts only leave (v,in) nodes
-      d_.ForEachOutWithLabel(v, static_cast<char>(label), [&](FactId f) {
+      for (FactId f : d_.OutWithLabel(v, static_cast<char>(label))) {
         const NodeId target = d_.target(f);
         visit(f, label == x ? in_node_[target] : target, label);
-      });
+      }
     }
   }
 
@@ -190,8 +163,9 @@ class RewrittenFacts {
     const unsigned char z = static_cast<unsigned char>(z_);
     if (v >= num_db_nodes_) {  // (u,in): its in-facts are u's x-facts
       if (t_.letter_to[x] != s) return;
-      d_.ForEachInWithLabel(in_origin_[v - num_db_nodes_], x_,
-                            [&](FactId f) { visit(f, d_.source(f), x); });
+      for (FactId f : d_.InWithLabel(in_origin_[v - num_db_nodes_], x_)) {
+        visit(f, d_.source(f), x);
+      }
       return;
     }
     if (t_.letter_to[z] == s && in_node_[v] >= 0 && ZMultiplicity(v) > 0) {
@@ -203,9 +177,9 @@ class RewrittenFacts {
       // x-facts into v were retargeted to (v,in); D's z-labelled facts are
       // not part of D'.
       if (label == x || label == z) continue;
-      d_.ForEachInWithLabel(v, static_cast<char>(label), [&](FactId f) {
+      for (FactId f : d_.InWithLabel(v, static_cast<char>(label))) {
         visit(f, d_.source(f), label);
-      });
+      }
     }
   }
 
@@ -214,7 +188,7 @@ class RewrittenFacts {
     const unsigned char z = static_cast<unsigned char>(z_);
     for (int l = 0; l < 256; ++l) {
       if (l == z || t_.letter_from[l] < 0) continue;
-      d_.ForEachWithLabel(static_cast<char>(l), visit);
+      for (FactId f : d_.index().Facts(static_cast<char>(l))) visit(f);
     }
     if (t_.letter_from[z] < 0) return;
     for (size_t k = 0; k < in_origin_.size(); ++k) {
@@ -267,7 +241,7 @@ Result<OneDanglingPlan> PrepareOneDanglingPlan(
 
 Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
     const OneDanglingPlan& plan, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index, SolverScratch* scratch) {
+    const LabelIndex& index, SolverScratch* scratch) {
   if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
   ResilienceResult result;
   result.algorithm = plan.mirrored ? kAlgorithmMirrored : kAlgorithm;
@@ -275,13 +249,12 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
     result.infinite = true;
     return result;
   }
-  const OrientedDb d(db, label_index, plan.mirror_db);
+  const OrientedDb d(db, index, plan.mirror_db);
   // The signed-multiplicity rewrite of Prp 7.9 manipulates x/y costs
   // arithmetically, which has no meaningful extension to +∞ costs.
   bool exogenous_xy = false;
   for (char label : {plan.x, plan.y}) {
-    d.ForEachWithLabel(label,
-                       [&](FactId f) { exogenous_xy |= db.IsExogenous(f); });
+    for (FactId f : index.Facts(label)) exogenous_xy |= db.IsExogenous(f);
   }
   if (exogenous_xy) {
     return Status::Unimplemented(
@@ -300,13 +273,13 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
   x_in.assign(num_nodes, 0);
   y_out.assign(num_nodes, 0);
   Capacity kappa = 0;
-  d.ForEachWithLabel(plan.x, [&](FactId f) {
+  for (FactId f : index.Facts(plan.x)) {
     x_in[d.target(f)] += db.Cost(f, semantics);
-  });
-  d.ForEachWithLabel(plan.y, [&](FactId f) {
+  }
+  for (FactId f : index.Facts(plan.y)) {
     y_out[d.source(f)] += db.Cost(f, semantics);
     kappa += db.Cost(f, semantics);
-  });
+  }
   Capacity free_cost = 0;
   std::vector<int32_t>& in_node = scratch->in_node;
   std::vector<int32_t>& in_origin = scratch->in_origin;
@@ -356,15 +329,13 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
                            cut[num_facts + static_cast<FactId>(k)];
     if (z_removed) {
       // Case (a): take every x-fact into v.
-      d.ForEachInWithLabel(v, plan.x,
-                           [&](FactId f) { contingency.push_back(f); });
+      for (FactId f : d.InWithLabel(v, plan.x)) contingency.push_back(f);
     } else {
       // Case (b): take every y-fact out of v, plus the cut x-facts into v.
-      d.ForEachOutWithLabel(v, plan.y,
-                            [&](FactId f) { contingency.push_back(f); });
-      d.ForEachInWithLabel(v, plan.x, [&](FactId f) {
+      for (FactId f : d.OutWithLabel(v, plan.y)) contingency.push_back(f);
+      for (FactId f : d.InWithLabel(v, plan.x)) {
         if (cut[f]) contingency.push_back(f);
-      });
+      }
     }
   }
   std::sort(contingency.begin(), contingency.end());
@@ -379,9 +350,9 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
   return result;
 }
 
-Result<ResilienceResult> SolveOneDanglingResilience(
-    const Language& lang, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index, SolverScratch* scratch) {
+Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
+                                                    const GraphDb& db,
+                                                    Semantics semantics) {
   Language ifl = InfixFreeSublanguage(lang);
   if (ifl.ContainsEpsilon()) {
     ResilienceResult result;
@@ -396,8 +367,8 @@ Result<ResilienceResult> SolveOneDanglingResilience(
         ") is not one-dangling (nor is its mirror)");
   }
   RPQRES_ASSIGN_OR_RETURN(OneDanglingPlan plan, PrepareOneDanglingPlan(*found));
-  return SolveOneDanglingResilienceWithPlan(plan, db, semantics, label_index,
-                                            scratch);
+  return SolveOneDanglingResilienceWithPlan(plan, db, semantics,
+                                            LabelIndex(db));
 }
 
 }  // namespace rpqres

@@ -58,20 +58,20 @@ struct OneDanglingPlan {
 Result<OneDanglingPlan> PrepareOneDanglingPlan(const OrientedOneDangling& found);
 
 /// Solves RES(Q_L, D) from a prepared plan: per-database work only. Reads
-/// the x, y and base facts through `label_index` when given (built from
-/// `db`); never copies `db`. `scratch` (optional) backs the flow solve and
+/// the x, y and base facts through `index`, which must be built from
+/// `db`; never copies `db`. `scratch` (optional) backs the flow solve and
 /// the per-node rewrite state. Unimplemented when an x- or y-fact is
 /// exogenous (the κ/z-multiplicity accounting is arithmetic).
 Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
     const OneDanglingPlan& plan, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
+    const LabelIndex& index, SolverScratch* scratch = nullptr);
 
-/// One-shot form: IF(L), FindOrientedOneDangling and
-/// PrepareOneDanglingPlan, then SolveOneDanglingResilienceWithPlan.
+/// One-shot form: IF(L), FindOrientedOneDangling, PrepareOneDanglingPlan
+/// and `db`'s LabelIndex, then SolveOneDanglingResilienceWithPlan.
 /// FailedPrecondition if neither IF(L) nor its mirror is one-dangling.
-Result<ResilienceResult> SolveOneDanglingResilience(
-    const Language& lang, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
+Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
+                                                    const GraphDb& db,
+                                                    Semantics semantics);
 
 }  // namespace rpqres
 

@@ -1,5 +1,6 @@
 #include "resilience/resilience.h"
 
+#include <optional>
 #include <utility>
 
 #include "flow/solver_scratch.h"
@@ -88,20 +89,26 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
   if (semantics == Semantics::kBag) {
     RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
   }
+  // The flow solvers read facts through a LabelIndex; a caller without one
+  // gets it built here, and only when a flow solver runs.
+  std::optional<LabelIndex> built;
+  auto index = [&]() -> const LabelIndex& {
+    // invariant-ok(solver-fact-access): the one on-demand index build
+    return label_index != nullptr ? *label_index : built.emplace(db);
+  };
   switch (plan.method) {
     case ResilienceMethod::kLocalFlow:
       if (!plan.ro_tables) break;
       return SolveLocalResilienceWithTables(*plan.ro_tables, db, semantics,
-                                            label_index, scratch);
+                                            index(), scratch);
     case ResilienceMethod::kBclFlow:
       if (!plan.bcl) break;
-      return SolveBclResilienceWithPlan(*plan.bcl, db, semantics, label_index,
+      return SolveBclResilienceWithPlan(*plan.bcl, db, semantics, index(),
                                         scratch);
     case ResilienceMethod::kOneDanglingFlow:
       if (!plan.one_dangling) break;
       return SolveOneDanglingResilienceWithPlan(*plan.one_dangling, db,
-                                                semantics, label_index,
-                                                scratch);
+                                                semantics, index(), scratch);
     case ResilienceMethod::kExact: {
       if (!plan.exact) break;
       // One span for the whole (potentially exponential) search; the

@@ -47,7 +47,8 @@ struct ResilienceOptions {
 };
 
 /// Computes RES(Q_L, D) under the given semantics. See ResilienceResult for
-/// the contract on the returned witness contingency set.
+/// the contract on the returned witness contingency set. A flow solver
+/// reads `db` through a LabelIndex built here on demand.
 Result<ResilienceResult> ComputeResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
     const ResilienceOptions& options = {});
@@ -107,9 +108,11 @@ Result<ResiliencePlan> PlanResilienceWithIF(
 /// (adversarial instances can make the branch & bound explode; callers
 /// like the differential oracle bound it and treat OutOfRange as an
 /// inconclusive budget exhaustion, not an answer). `label_index`, when
-/// given, must be built from `db`; the flow solvers then iterate per-label
-/// fact lists instead of scanning every fact (the DbRegistry snapshot hot
-/// path). `scratch`, when given, supplies the reusable solver arena
+/// given, must be built from `db` (the DbRegistry snapshot hot path). The
+/// flow solvers read facts only through a LabelIndex, so a null
+/// `label_index` means one is built from `db` on demand, and only for the
+/// flow methods: trivial and exact plans never build one. `scratch`, when
+/// given, supplies the reusable solver arena
 /// (flow/solver_scratch.h); the solvers otherwise fall back to the
 /// calling thread's shared scratch, so repeated calls are allocation-free
 /// in steady state either way. Under bag semantics, OutOfRange when the

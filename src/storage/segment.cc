@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -75,6 +76,10 @@ void PutU32(std::vector<uint8_t>* buf, uint32_t v) {
 
 void PutI32(std::vector<uint8_t>* buf, int32_t v) {
   PutU32(buf, static_cast<uint32_t>(v));
+}
+
+void PutI32s(std::vector<uint8_t>* buf, std::span<const int32_t> values) {
+  for (int32_t v : values) PutI32(buf, v);
 }
 
 void PutI64(std::vector<uint8_t>* buf, int64_t v) {
@@ -179,11 +184,15 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
     PutI32(out_off, 0);
     PutI32(in_off, 0);
     for (NodeId v = 0; v < num_nodes; ++v) {
-      for (FactId f : db.OutFacts(v)) PutI32(out_adj, f);
-      out_at += static_cast<int32_t>(db.OutFacts(v).size());
+      for (FactId f : db.OutFactsLive(v)) {
+        PutI32(out_adj, f);
+        ++out_at;
+      }
       PutI32(out_off, out_at);
-      for (FactId f : db.InFacts(v)) PutI32(in_adj, f);
-      in_at += static_cast<int32_t>(db.InFacts(v).size());
+      for (FactId f : db.InFactsLive(v)) {
+        PutI32(in_adj, f);
+        ++in_at;
+      }
       PutI32(in_off, in_at);
     }
   }
@@ -201,46 +210,19 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
     for (FactId f : perm) PutI32(s, f);
   }
   {
-    // Per-label CSR arrays, built with the same counting sort as
-    // LabelIndex::BuildEntry so a reopened index answers identically to
-    // the one built in memory at Register time.
-    std::array<std::vector<FactId>, 256> facts_by_label;
-    for (FactId f = 0; f < num_facts; ++f) {
-      facts_by_label[static_cast<unsigned char>(db.fact(f).label)]
-          .push_back(f);
-    }
+    // Per-label CSR arrays: a LabelIndex's entries, verbatim, so the index
+    // FromMapped reopens answers identically to one built in memory.
+    const LabelIndex index(db);
     std::vector<uint8_t>* dir = section(kLabelDir);
-    std::vector<uint8_t>* lfacts = section(kLabelFacts);
-    std::vector<uint8_t>* by_src = section(kLabelBySource);
-    std::vector<uint8_t>* src_off = section(kLabelSourceOffset);
-    std::vector<uint8_t>* by_tgt = section(kLabelByTarget);
-    std::vector<uint8_t>* tgt_off = section(kLabelTargetOffset);
-    for (int l = 0; l < 256; ++l) {
-      const std::vector<FactId>& facts = facts_by_label[l];
-      if (facts.empty()) continue;
-      PutU32(dir, static_cast<uint32_t>(l));
-      PutU32(dir, static_cast<uint32_t>(facts.size()));
-      for (FactId f : facts) PutI32(lfacts, f);
-      std::vector<int32_t> soff(num_nodes + 1, 0), toff(num_nodes + 1, 0);
-      for (FactId f : facts) {
-        ++soff[db.fact(f).source + 1];
-        ++toff[db.fact(f).target + 1];
-      }
-      for (int v = 0; v < num_nodes; ++v) {
-        soff[v + 1] += soff[v];
-        toff[v + 1] += toff[v];
-      }
-      std::vector<FactId> bs(facts.size()), bt(facts.size());
-      std::vector<int32_t> sc(soff.begin(), soff.end() - 1);
-      std::vector<int32_t> tc(toff.begin(), toff.end() - 1);
-      for (FactId f : facts) {
-        bs[sc[db.fact(f).source]++] = f;
-        bt[tc[db.fact(f).target]++] = f;
-      }
-      for (FactId f : bs) PutI32(by_src, f);
-      for (int32_t v : soff) PutI32(src_off, v);
-      for (FactId f : bt) PutI32(by_tgt, f);
-      for (int32_t v : toff) PutI32(tgt_off, v);
+    for (char label : index.labels()) {
+      const LabelIndex::Entry e = index.entry(label);
+      PutU32(dir, static_cast<unsigned char>(label));
+      PutU32(dir, static_cast<uint32_t>(e.facts.size()));
+      PutI32s(section(kLabelFacts), e.facts);
+      PutI32s(section(kLabelBySource), e.by_source);
+      PutI32s(section(kLabelSourceOffset), e.source_offset);
+      PutI32s(section(kLabelByTarget), e.by_target);
+      PutI32s(section(kLabelTargetOffset), e.target_offset);
     }
   }
 
@@ -265,7 +247,8 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
   std::vector<uint8_t> file(payload_at, 0);
   std::memcpy(file.data(), kMagic, sizeof(kMagic));
   auto put_at = [&file](size_t at, const void* src, size_t n) {
-    std::memcpy(file.data() + at, src, n);
+    // An empty section's data() may be null, which memcpy must not see.
+    if (n > 0) std::memcpy(file.data() + at, src, n);
   };
   const uint32_t format_version = kFormatVersion;
   const uint32_t section_count = kSectionCount;
@@ -549,7 +532,7 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
   storage->mapping = mapping;
 
   // Per-label CSR views straight into the mapped sections.
-  std::vector<LabelIndex::MappedLabelEntry> entries;
+  std::vector<LabelIndex::Entry> entries;
   {
     const Section& dir = sec(kLabelDir);
     if (dir.size % 8 != 0) return data_loss("label directory size not 8k");
@@ -580,7 +563,7 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
       if (total > num_facts) {
         return data_loss("label directory fact counts exceed num_facts");
       }
-      LabelIndex::MappedLabelEntry e;
+      LabelIndex::Entry e;
       e.label = static_cast<char>(label);
       e.facts = {lfacts + facts_at, count};
       e.by_source = {by_src + facts_at, count};

@@ -82,7 +82,7 @@ TEST(SolverScratchTest, LocalSolveReusesBuffersAndStopsAllocating) {
 
   SolverScratch scratch;
   ResilienceResult first =
-      SolveLocalResilienceWithTables(tables, db, Semantics::kBag, &index,
+      SolveLocalResilienceWithTables(tables, db, Semantics::kBag, index,
                                      &scratch);
   ASSERT_FALSE(first.infinite);
   const size_t warm_bytes = scratch.total_capacity_bytes();
@@ -91,7 +91,7 @@ TEST(SolverScratchTest, LocalSolveReusesBuffersAndStopsAllocating) {
   for (int round = 0; round < 20; ++round) {
     long long before = g_allocations.load(std::memory_order_relaxed);
     ResilienceResult again = SolveLocalResilienceWithTables(
-        tables, db, Semantics::kBag, &index, &scratch);
+        tables, db, Semantics::kBag, index, &scratch);
     long long solver_allocations =
         g_allocations.load(std::memory_order_relaxed) - before;
     EXPECT_EQ(again.value, first.value);
@@ -238,7 +238,7 @@ TEST(SolverScratchTest, TracedLocalSolveStaysAllocationFree) {
 
   SolverScratch scratch;
   ResilienceResult first =
-      SolveLocalResilienceWithTables(tables, db, Semantics::kBag, &index,
+      SolveLocalResilienceWithTables(tables, db, Semantics::kBag, index,
                                      &scratch);
   const size_t warm_bytes = scratch.total_capacity_bytes();
 
@@ -247,7 +247,7 @@ TEST(SolverScratchTest, TracedLocalSolveStaysAllocationFree) {
     scratch.trace = &trace;
     long long before = g_allocations.load(std::memory_order_relaxed);
     ResilienceResult again = SolveLocalResilienceWithTables(
-        tables, db, Semantics::kBag, &index, &scratch);
+        tables, db, Semantics::kBag, index, &scratch);
     long long solver_allocations =
         g_allocations.load(std::memory_order_relaxed) - before;
     scratch.trace = nullptr;

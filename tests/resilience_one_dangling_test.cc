@@ -192,11 +192,9 @@ void ExpectAllPathsAgree(const Language& lang, const OneDanglingPlan& plan,
         SolveBruteForceResilience(lang, db, semantics);
     ASSERT_TRUE(brute.ok()) << brute.status();
     std::vector<std::pair<std::string, Result<ResilienceResult>>> answers;
-    answers.emplace_back("oriented plan", SolveOneDanglingResilienceWithPlan(
-                                              plan, db, semantics));
     answers.emplace_back(
-        "oriented plan, indexed",
-        SolveOneDanglingResilienceWithPlan(plan, db, semantics, &index));
+        "oriented plan",
+        SolveOneDanglingResilienceWithPlan(plan, db, semantics, index));
     answers.emplace_back("auto plan",
                          ComputeResilienceWithPlan(*auto_plan, db, semantics));
     answers.emplace_back(

@@ -13,6 +13,12 @@
 namespace rpqres {
 namespace {
 
+std::vector<FactId> Collect(GraphDb::IncidentFacts facts) {
+  std::vector<FactId> out;
+  for (FactId f : facts) out.push_back(f);
+  return out;
+}
+
 using workload::DbGenOptions;
 using workload::DbShape;
 using workload::DbShapeName;
@@ -32,8 +38,8 @@ TEST(DbGeneratorTest, StructuralInvariants) {
   EXPECT_EQ(cycle.num_facts(), 5);
   // Every node has exactly one out- and one in-fact.
   for (NodeId v = 0; v < cycle.num_nodes(); ++v) {
-    EXPECT_EQ(cycle.OutFacts(v).size(), 1u);
-    EXPECT_EQ(cycle.InFacts(v).size(), 1u);
+    EXPECT_EQ(Collect(cycle.OutFactsLive(v)).size(), 1u);
+    EXPECT_EQ(Collect(cycle.InFactsLive(v)).size(), 1u);
   }
 
   GraphDb grid = GridDb(&rng, 3, 4, labels, 2);
