@@ -93,13 +93,6 @@ DeltaBatch::DeltaBatch(DbRegistry* registry,
   record_ops_ = registry_->storage_ != nullptr && !registry_->restoring_;
 }
 
-void DeltaBatch::TouchLabel(char label) {
-  unsigned char l = static_cast<unsigned char>(label);
-  if (touched_[l]) return;
-  touched_[l] = true;
-  touched_labels_.push_back(label);
-}
-
 NodeId DeltaBatch::AddNode(std::string name) {
   if (!valid()) return -1;
   ++ops_;
@@ -129,11 +122,7 @@ Result<FactId> DeltaBatch::AddFact(NodeId source, char label, NodeId target,
     return Status::InvalidArgument("AddFact: multiplicity must be >= 1");
   }
   ++ops_;
-  int before = work_.num_facts();
   FactId id = work_.AddFact(source, label, target, multiplicity);
-  // A multiplicity bump leaves the fact set — and hence the label index —
-  // unchanged; only genuinely new facts touch their label.
-  if (work_.num_facts() != before) TouchLabel(label);
   if (record_ops_) {
     storage::JournalOp op;
     op.type = storage::JournalOp::Type::kAddFact;
@@ -150,9 +139,10 @@ Status DeltaBatch::RemoveFact(NodeId source, char label, NodeId target) {
   if (!valid()) {
     return Status::FailedPrecondition("RemoveFact on an invalid DeltaBatch");
   }
-  RPQRES_RETURN_IF_ERROR(work_.RemoveFact(source, label, target));
+  FactId removed = -1;
+  RPQRES_RETURN_IF_ERROR(work_.RemoveFact(source, label, target, &removed));
   ++ops_;
-  TouchLabel(label);
+  removed_.push_back(removed);
   if (record_ops_) {
     storage::JournalOp op;
     op.type = storage::JournalOp::Type::kRemoveFact;
@@ -258,7 +248,7 @@ Result<DbHandle> DbRegistry::CommitDelta(DeltaBatch* batch) {
     const FactId first_new_fact = parent.db.num_facts();
     snapshot->db = std::move(batch->work_);
     snapshot->label_index = LabelIndex(snapshot->db, parent.label_index,
-                                       batch->touched_labels_, first_new_fact);
+                                       batch->removed_, first_new_fact);
   }
 
   MutexLock lock(mu_);
@@ -338,7 +328,7 @@ Result<DbHandle> DbRegistry::CommitReplayed(DeltaBatch* batch,
   const FactId first_new_fact = parent.db.num_facts();
   snapshot->db = std::move(batch->work_);
   snapshot->label_index = LabelIndex(snapshot->db, parent.label_index,
-                                     batch->touched_labels_, first_new_fact);
+                                     batch->removed_, first_new_fact);
   MutexLock lock(mu_);
   auto lineage_it = lineages_.find(snapshot->lineage);
   if (lineage_it == lineages_.end()) {
@@ -399,13 +389,14 @@ Status DbRegistry::PersistNewSegmentLocked(const DbSnapshot& snapshot,
   const std::string segment_path = storage_->SegmentPath(snapshot.lineage);
   // Register normally receives flat databases; an overlay handed to it
   // is persisted as its compacted live view (same serialization, fresh
-  // fact-id space after a restart).
+  // fact-id space after a restart). A flat snapshot's index is a full
+  // build of its database, so the writer stores it as is.
   Status written = RetryStorageLocked("segment_write", [&] {
     return snapshot.db.is_versioned()
                ? storage::WriteSegment(segment_path, snapshot.db.Compact(),
                                        meta, &bytes)
-               : storage::WriteSegment(segment_path, snapshot.db, meta,
-                                       &bytes);
+               : storage::WriteSegment(segment_path, snapshot.db,
+                                       snapshot.label_index, meta, &bytes);
   });
   if (!written.ok()) return written;
   storage_->segment_bytes_[snapshot.lineage] = bytes;

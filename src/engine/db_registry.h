@@ -19,8 +19,10 @@
 // A commit produces a copy-on-write snapshot (GraphDb::MakeOverlay):
 // facts live in the lineage's immutable flat base plus per-version
 // add/tombstone overlays, and the LabelIndex is patched incrementally —
-// only the labels the delta touched are rebuilt — so commit cost scales
-// with the delta (plus the touched labels' facts), not the database.
+// untouched labels share the parent's entry, and each touched label's
+// entry is spliced from the parent's in one merge pass (sequential copies
+// of that label's CSR arrays, no re-sort) — so commit cost scales with
+// the delta plus the touched labels' entry sizes, not the database.
 // When the accumulated overlay crosses the compaction threshold the
 // commit folds everything back into a fresh flat base.
 //
@@ -33,7 +35,6 @@
 #ifndef RPQRES_ENGINE_DB_REGISTRY_H_
 #define RPQRES_ENGINE_DB_REGISTRY_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -86,8 +87,11 @@ struct DbSnapshot {
   std::string name;
   /// The database, owned.
   GraphDb db;
-  /// Per-label fact adjacency — full-built at Register, incrementally
-  /// patched by delta commits.
+  /// Per-label fact adjacency — full-built at Register and on a
+  /// compacting commit; a plain delta commit (and its journal replay at
+  /// restore) shares the parent's untouched entries and splices the
+  /// touched labels' entries from the parent's, costing sequential copies
+  /// of those entries rather than a re-sort of their facts.
   LabelIndex label_index;
   /// True when the commit that produced this version folded the
   /// accumulated overlay into a fresh flat base.
@@ -151,8 +155,7 @@ class DeltaBatch {
     registry_ = std::exchange(other.registry_, nullptr);
     parent_ = std::move(other.parent_);
     work_ = std::move(other.work_);
-    touched_labels_ = std::move(other.touched_labels_);
-    touched_ = other.touched_;
+    removed_ = std::move(other.removed_);
     ops_ = other.ops_;
     committed_ = other.committed_;
     record_ops_ = other.record_ops_;
@@ -188,15 +191,12 @@ class DeltaBatch {
   friend class DbRegistry;
   DeltaBatch(DbRegistry* registry, std::shared_ptr<const DbSnapshot> parent);
 
-  void TouchLabel(char label);
-
   DbRegistry* registry_ = nullptr;
   std::shared_ptr<const DbSnapshot> parent_;
   GraphDb work_;
-  /// Labels whose fact set the batch changed, deduplicated — the
-  /// incremental LabelIndex rebuilds exactly these.
-  std::vector<char> touched_labels_;
-  std::array<bool, 256> touched_{};
+  /// Fact ids the batch tombstoned; with the ids it appended, they are
+  /// what the incremental LabelIndex splices into the parent's entries.
+  std::vector<FactId> removed_;
   int64_t ops_ = 0;
   bool committed_ = false;
   /// True when the registry is persistent and this batch's operations

@@ -731,7 +731,7 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
       forced.allow_exponential = allow_exponential;
       forced.exact = exact_options;
       return ComputeResilience(query.language, db.db(), query.semantics,
-                               forced);
+                               forced, db.label_index());
     }
     if (!allow_exponential &&
         query.plan.method == ResilienceMethod::kExact &&

@@ -204,7 +204,8 @@ GraphDb GraphDb::MakeOverlay(std::shared_ptr<const GraphDb> parent) {
   return out;
 }
 
-Status GraphDb::RemoveFact(NodeId source, char label, NodeId target) {
+Status GraphDb::RemoveFact(NodeId source, char label, NodeId target,
+                           FactId* removed) {
   if (base_ == nullptr) {
     return Status::FailedPrecondition(
         "RemoveFact: only overlay databases support in-place removal "
@@ -220,6 +221,7 @@ Status GraphDb::RemoveFact(NodeId source, char label, NodeId target) {
   if (dead_.empty()) dead_.assign(num_facts(), 0);
   dead_[id] = 1;
   ++num_dead_;
+  if (removed != nullptr) *removed = id;
   if (id >= base_facts_) {
     fact_index_.erase(std::make_tuple(source, label, target));
   } else {

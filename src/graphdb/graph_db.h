@@ -206,8 +206,10 @@ class GraphDb {
 
   /// Tombstones the live fact (source, label, target). Overlay databases
   /// only; NotFound when no such live fact exists. The id space is
-  /// unchanged — the id simply goes dead.
-  Status RemoveFact(NodeId source, char label, NodeId target);
+  /// unchanged — the id simply goes dead; `removed`, when non-null,
+  /// receives it.
+  Status RemoveFact(NodeId source, char label, NodeId target,
+                    FactId* removed = nullptr);
 
   /// A flat materialization: live facts renumbered densely (order
   /// preserved), every node kept. When `old_id_of` is non-null it is

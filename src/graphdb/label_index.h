@@ -16,11 +16,16 @@
 // inert fact.
 //
 // Per-label entries are copy-on-write (shared_ptr-to-const): a delta
-// commit builds the next version's index *incrementally* — labels the
-// delta never touched share the parent's entry, only the touched labels'
-// CSR spans are rebuilt — so commit-time indexing scales with the facts
-// of the touched labels, not with the database. Dead (tombstoned) facts
-// of a versioned GraphDb never enter an index.
+// commit builds the next version's index *incrementally*. Labels the
+// delta never touched share the parent's entry by pointer. A touched
+// label's entry is *spliced* from its parent entry in one merge pass per
+// array: runs of untouched nodes are copied wholesale with their offsets
+// shifted, and at each node the delta touches the removed ids drop out
+// and the added ids (which sort after every parent id) are appended. No
+// parent fact is re-read or re-sorted, so a touched label costs
+// sequential copies of its entry — O(its facts + nodes), plus a sort of
+// the delta — instead of a counting sort over its facts. Dead
+// (tombstoned) facts of a versioned GraphDb never enter an index.
 
 #ifndef RPQRES_GRAPHDB_LABEL_INDEX_H_
 #define RPQRES_GRAPHDB_LABEL_INDEX_H_
@@ -29,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graphdb/graph_db.h"
@@ -45,14 +51,19 @@ class LabelIndex {
   LabelIndex() { slot_.fill(-1); }
   /// Full build over the live facts of `db`.
   explicit LabelIndex(const GraphDb& db);
-  /// Incremental build for a delta commit: `db` is the new version,
-  /// `parent` the index of the version the delta was applied to, and
-  /// `touched_labels` the labels whose fact set changed (facts added or
-  /// removed; multiplicity changes do not touch an index). Facts with ids
-  /// >= `first_new_fact` are the delta's additions. Untouched labels
-  /// share the parent's entry by pointer.
+  /// Incremental build for a delta commit: `db` is the new version and
+  /// `parent` the index of the version the delta was applied to. Facts
+  /// with ids >= `first_new_fact` are the delta's additions; `removed`
+  /// lists the ids the delta tombstoned (ids >= `first_new_fact` among
+  /// them are ignored: the delta added and removed them). The touched
+  /// labels are those of the live additions and of the removed parent
+  /// facts; multiplicity changes touch nothing. Untouched labels share
+  /// the parent's entry by pointer; touched ones are spliced from it
+  /// (see the file comment), never rebuilt. The result equals a full
+  /// LabelIndex(db), except that a shared entry keeps the node horizon it
+  /// was built with.
   LabelIndex(const GraphDb& db, const LabelIndex& parent,
-             const std::vector<char>& touched_labels, FactId first_new_fact);
+             const std::vector<FactId>& removed, FactId first_new_fact);
 
   /// Fact ids carrying `label`, ascending; empty when absent. On a
   /// mapped index (FromMapped) the span points into the mmap'ed segment.
@@ -145,11 +156,23 @@ class LabelIndex {
     std::vector<FactId> by_target_store;
     std::vector<int32_t> target_offset_store;
     std::shared_ptr<const void> mapping;
+
+    /// Points the spans at the owned stores.
+    void PublishStores();
   };
 
-  /// Builds one label's entry from its ascending live fact ids.
+  /// Builds one label's entry from its ascending live fact ids (full
+  /// builds).
   static std::shared_ptr<const PerLabel> BuildEntry(const GraphDb& db,
                                                     std::vector<FactId> facts);
+  /// Splices one touched label's entry from its `parent` entry (null when
+  /// the label is new) and the delta's `changes` to it, ascending by id:
+  /// removed parent ids, then added ids. Null when no fact is left.
+  /// `patch` is scratch reused across labels.
+  static std::shared_ptr<const PerLabel> SpliceEntry(
+      const GraphDb& db, const PerLabel* parent,
+      std::span<const std::pair<unsigned char, FactId>> changes,
+      FactId first_new_fact, std::vector<std::pair<NodeId, FactId>>* patch);
   void InsertEntry(char label, std::shared_ptr<const PerLabel> entry);
 
   std::array<int16_t, 256> slot_;  ///< label -> per_label_ index, -1 absent

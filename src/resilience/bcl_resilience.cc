@@ -47,6 +47,13 @@ BclPlan PrepareBclPlan(const BipartiteChain& chain) {
 Result<ResilienceResult> SolveBclResilience(const Language& lang,
                                             const GraphDb& db,
                                             Semantics semantics) {
+  return SolveBclResilience(lang, db, semantics, LabelIndex(db));
+}
+
+Result<ResilienceResult> SolveBclResilience(const Language& lang,
+                                            const GraphDb& db,
+                                            Semantics semantics,
+                                            const LabelIndex& index) {
   // Work on IF(L) (same query; BCL-ness is preserved by IF, Lem 7.5).
   Language ifl = InfixFreeSublanguage(lang);
   if (ifl.ContainsEpsilon()) {
@@ -61,7 +68,7 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
                                       chain.status().message());
   }
   return SolveBclResilienceWithPlan(PrepareBclPlan(*chain), db, semantics,
-                                    LabelIndex(db));
+                                    index);
 }
 
 ResilienceResult SolveBclResilienceWithPlan(const BclPlan& plan,

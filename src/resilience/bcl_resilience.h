@@ -62,6 +62,11 @@ ResilienceResult SolveBclResilienceWithPlan(const BclPlan& plan,
 Result<ResilienceResult> SolveBclResilience(const Language& lang,
                                             const GraphDb& db,
                                             Semantics semantics);
+/// The same over a caller's LabelIndex of `db`.
+Result<ResilienceResult> SolveBclResilience(const Language& lang,
+                                            const GraphDb& db,
+                                            Semantics semantics,
+                                            const LabelIndex& index);
 
 }  // namespace rpqres
 

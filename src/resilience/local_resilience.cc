@@ -75,9 +75,17 @@ ResilienceResult SolveLocalResilienceWithRoEnfa(const Enfa& ro,
 Result<ResilienceResult> SolveLocalResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics) {
+  return SolveLocalResilience(lang, db, semantics, LabelIndex(db));
+}
+
+Result<ResilienceResult> SolveLocalResilience(const Language& lang,
+                                              const GraphDb& db,
+                                              Semantics semantics,
+                                              const LabelIndex& index) {
   RPQRES_ASSIGN_OR_RETURN(Enfa ro,
                           RoEnfaForSolver(lang, /*require_exact=*/false));
-  return SolveLocalResilienceWithRoEnfa(ro, db, semantics);
+  return SolveLocalResilienceWithTables(MustBuildTables(ro), db, semantics,
+                                        index);
 }
 
 ResilienceResult SolveLocalResilienceFixedEndpointsWithTables(

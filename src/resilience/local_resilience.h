@@ -25,6 +25,11 @@ class SolverScratch;
 Result<ResilienceResult> SolveLocalResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics);
+/// The same over a caller's LabelIndex of `db`.
+Result<ResilienceResult> SolveLocalResilience(const Language& lang,
+                                              const GraphDb& db,
+                                              Semantics semantics,
+                                              const LabelIndex& index);
 
 /// Core of Theorem 3.13: resilience given an RO-εNFA for the language.
 /// `ro` must be read-once (checked); the language may be any local language.

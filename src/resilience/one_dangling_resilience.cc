@@ -353,6 +353,13 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
 Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
                                                     const GraphDb& db,
                                                     Semantics semantics) {
+  return SolveOneDanglingResilience(lang, db, semantics, LabelIndex(db));
+}
+
+Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
+                                                    const GraphDb& db,
+                                                    Semantics semantics,
+                                                    const LabelIndex& index) {
   Language ifl = InfixFreeSublanguage(lang);
   if (ifl.ContainsEpsilon()) {
     ResilienceResult result;
@@ -367,8 +374,7 @@ Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
         ") is not one-dangling (nor is its mirror)");
   }
   RPQRES_ASSIGN_OR_RETURN(OneDanglingPlan plan, PrepareOneDanglingPlan(*found));
-  return SolveOneDanglingResilienceWithPlan(plan, db, semantics,
-                                            LabelIndex(db));
+  return SolveOneDanglingResilienceWithPlan(plan, db, semantics, index);
 }
 
 }  // namespace rpqres

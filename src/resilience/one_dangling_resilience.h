@@ -72,6 +72,11 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
 Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
                                                     const GraphDb& db,
                                                     Semantics semantics);
+/// The same over a caller's LabelIndex of `db`.
+Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
+                                                    const GraphDb& db,
+                                                    Semantics semantics,
+                                                    const LabelIndex& index);
 
 }  // namespace rpqres
 

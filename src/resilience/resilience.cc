@@ -12,6 +12,28 @@
 
 namespace rpqres {
 
+namespace {
+
+/// The flow solvers read facts through a LabelIndex. A caller without one
+/// gets it built from `db` on first use, so only a flow solve builds one.
+class IndexOnDemand {
+ public:
+  IndexOnDemand(const GraphDb& db, const LabelIndex* index)
+      : db_(db), index_(index) {}
+  const LabelIndex& get() {
+    // invariant-ok(solver-fact-access): the one on-demand index build
+    if (index_ == nullptr) index_ = &built_.emplace(db_);
+    return *index_;
+  }
+
+ private:
+  const GraphDb& db_;
+  const LabelIndex* index_;
+  std::optional<LabelIndex> built_;
+};
+
+}  // namespace
+
 Result<ResiliencePlan> PlanResilience(const Language& lang,
                                       const ResilienceOptions& options) {
   Language ifl = InfixFreeSublanguage(lang);
@@ -89,26 +111,20 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
   if (semantics == Semantics::kBag) {
     RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
   }
-  // The flow solvers read facts through a LabelIndex; a caller without one
-  // gets it built here, and only when a flow solver runs.
-  std::optional<LabelIndex> built;
-  auto index = [&]() -> const LabelIndex& {
-    // invariant-ok(solver-fact-access): the one on-demand index build
-    return label_index != nullptr ? *label_index : built.emplace(db);
-  };
+  IndexOnDemand index(db, label_index);
   switch (plan.method) {
     case ResilienceMethod::kLocalFlow:
       if (!plan.ro_tables) break;
       return SolveLocalResilienceWithTables(*plan.ro_tables, db, semantics,
-                                            index(), scratch);
+                                            index.get(), scratch);
     case ResilienceMethod::kBclFlow:
       if (!plan.bcl) break;
-      return SolveBclResilienceWithPlan(*plan.bcl, db, semantics, index(),
-                                        scratch);
+      return SolveBclResilienceWithPlan(*plan.bcl, db, semantics,
+                                        index.get(), scratch);
     case ResilienceMethod::kOneDanglingFlow:
       if (!plan.one_dangling) break;
-      return SolveOneDanglingResilienceWithPlan(*plan.one_dangling, db,
-                                                semantics, index(), scratch);
+      return SolveOneDanglingResilienceWithPlan(
+          *plan.one_dangling, db, semantics, index.get(), scratch);
     case ResilienceMethod::kExact: {
       if (!plan.exact) break;
       // One span for the whole (potentially exponential) search; the
@@ -131,19 +147,21 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
 Result<ResilienceResult> ComputeResilience(const Language& lang,
                                            const GraphDb& db,
                                            Semantics semantics,
-                                           const ResilienceOptions& options) {
+                                           const ResilienceOptions& options,
+                                           const LabelIndex* label_index) {
   if (options.method != ResilienceMethod::kAuto &&
       semantics == Semantics::kBag) {
     // A forced solver skips the plan path's check.
     RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
   }
+  IndexOnDemand index(db, label_index);
   switch (options.method) {
     case ResilienceMethod::kLocalFlow:
-      return SolveLocalResilience(lang, db, semantics);
+      return SolveLocalResilience(lang, db, semantics, index.get());
     case ResilienceMethod::kBclFlow:
-      return SolveBclResilience(lang, db, semantics);
+      return SolveBclResilience(lang, db, semantics, index.get());
     case ResilienceMethod::kOneDanglingFlow:
-      return SolveOneDanglingResilience(lang, db, semantics);
+      return SolveOneDanglingResilience(lang, db, semantics, index.get());
     case ResilienceMethod::kExact:
       return SolveExactResilience(lang, db, semantics, options.exact);
     case ResilienceMethod::kBruteForce:
@@ -156,7 +174,8 @@ Result<ResilienceResult> ComputeResilience(const Language& lang,
   // callers pay the plan derivation here; repeated callers should plan
   // once and use ComputeResilienceWithPlan (or the engine, which caches).
   RPQRES_ASSIGN_OR_RETURN(ResiliencePlan plan, PlanResilience(lang, options));
-  return ComputeResilienceWithPlan(plan, db, semantics, options.exact);
+  return ComputeResilienceWithPlan(plan, db, semantics, options.exact,
+                                   label_index);
 }
 
 Result<bool> ResilienceAtMost(const Language& lang, const GraphDb& db,

@@ -48,10 +48,13 @@ struct ResilienceOptions {
 
 /// Computes RES(Q_L, D) under the given semantics. See ResilienceResult for
 /// the contract on the returned witness contingency set. A flow solver
-/// reads `db` through a LabelIndex built here on demand.
+/// reads `db` through `label_index`, which must be built from `db` (a
+/// DbRegistry snapshot's index); a null `label_index` means one is built
+/// here on demand, as in ComputeResilienceWithPlan.
 Result<ResilienceResult> ComputeResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
-    const ResilienceOptions& options = {});
+    const ResilienceOptions& options = {},
+    const LabelIndex* label_index = nullptr);
 
 /// A precompiled kAuto dispatch decision: the infix-free sublanguage, the
 /// solver selected for it, and everything that solver derives from the

@@ -118,6 +118,12 @@ struct Mapping {
 
 Status WriteSegment(const std::string& path, const GraphDb& db,
                     const SegmentMeta& meta, int64_t* bytes_written) {
+  return WriteSegment(path, db, LabelIndex(db), meta, bytes_written);
+}
+
+Status WriteSegment(const std::string& path, const GraphDb& db,
+                    const LabelIndex& index, const SegmentMeta& meta,
+                    int64_t* bytes_written) {
   if (db.is_versioned()) {
     return Status::InvalidArgument(
         "WriteSegment: database must be flat (Compact() an overlay first)");
@@ -125,6 +131,10 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
   if (db.num_live_facts() != db.num_facts()) {
     return Status::InvalidArgument(
         "WriteSegment: database must be all-live");
+  }
+  if (index.num_facts() != db.num_facts()) {
+    return Status::InvalidArgument(
+        "WriteSegment: the label index was not built from this database");
   }
   const int num_nodes = db.num_nodes();
   const int num_facts = db.num_facts();
@@ -212,7 +222,6 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
   {
     // Per-label CSR arrays: a LabelIndex's entries, verbatim, so the index
     // FromMapped reopens answers identically to one built in memory.
-    const LabelIndex index(db);
     std::vector<uint8_t>* dir = section(kLabelDir);
     for (char label : index.labels()) {
       const LabelIndex::Entry e = index.entry(label);

@@ -63,6 +63,13 @@ struct LoadedSegment {
 Status WriteSegment(const std::string& path, const GraphDb& db,
                     const SegmentMeta& meta, int64_t* bytes_written = nullptr);
 
+/// The same, writing the entries of `index`, which must be a full
+/// LabelIndex(db) (a DbRegistry snapshot's index of a flat database is
+/// one), so the file is byte-identical and the writer builds no index.
+Status WriteSegment(const std::string& path, const GraphDb& db,
+                    const LabelIndex& index, const SegmentMeta& meta,
+                    int64_t* bytes_written = nullptr);
+
 /// Maps the segment at `path` and returns a zero-copy view of it.
 /// Validates magic, format version, section table, and every section
 /// checksum; corruption or truncation yields kDataLoss.

@@ -5,14 +5,21 @@
 // full rebuilds.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
 #include "graphdb/serialization.h"
+#include "storage/segment.h"
 
 namespace rpqres {
 namespace {
@@ -222,7 +229,7 @@ TEST(LabelIndexIncrementalTest, SharesUntouchedLabelsAndPatchesTouched) {
   ASSERT_TRUE(overlay.RemoveFact(0, 'a', 1).ok());
   FactId added = overlay.AddFact(1, 'a', 0);
 
-  LabelIndex incremental(overlay, base_index, {'a'},
+  LabelIndex incremental(overlay, base_index, /*removed=*/{0},
                          /*first_new_fact=*/3);
   EXPECT_EQ(incremental.shared_labels(), 2);  // 'b' and 'x' untouched
   EXPECT_EQ(incremental.num_facts(), 3);
@@ -253,7 +260,8 @@ TEST(LabelIndexIncrementalTest, LabelVanishesWhenAllFactsDie) {
   LabelIndex base_index(*base);
   GraphDb overlay = GraphDb::MakeOverlay(base);
   ASSERT_TRUE(overlay.RemoveFact(1, 'x', 2).ok());
-  LabelIndex incremental(overlay, base_index, {'x'}, /*first_new_fact=*/3);
+  LabelIndex incremental(overlay, base_index, /*removed=*/{1},
+                         /*first_new_fact=*/3);
   EXPECT_EQ(incremental.labels(), (std::vector<char>{'a', 'b'}));
   EXPECT_TRUE(incremental.Facts('x').empty());
   EXPECT_TRUE(incremental.FactsFrom('x', 1).empty());
@@ -265,7 +273,8 @@ TEST(LabelIndexIncrementalTest, SharedEntriesAreSafeAtNewNodes) {
   GraphDb overlay = GraphDb::MakeOverlay(base);
   NodeId z = overlay.AddNode("z");
   FactId f = overlay.AddFact(z, 'a', 0);
-  LabelIndex incremental(overlay, base_index, {'a'}, /*first_new_fact=*/3);
+  LabelIndex incremental(overlay, base_index, /*removed=*/{},
+                         /*first_new_fact=*/3);
   // 'x' is shared from the base (built before node z existed): probing it
   // at the new node must answer "no facts", not read out of bounds.
   EXPECT_TRUE(incremental.FactsFrom('x', z).empty());
@@ -273,6 +282,249 @@ TEST(LabelIndexIncrementalTest, SharedEntriesAreSafeAtNewNodes) {
   EXPECT_EQ(ToVector(incremental.FactsFrom('a', z)),
             (std::vector<FactId>{f}));
 }
+
+// --- splice edge cases --------------------------------------------------------
+//
+// Each case applies one delta to a parent database and checks the spliced
+// index against a full LabelIndex(child): a touched label's entry must be
+// span-for-span equal (facts, both CSRs, both offset arrays); a label the
+// delta left alone must share the parent's entry and answer identically.
+
+// Six nodes, labels a/b/c, facts at node 0 and at the last node.
+GraphDb SpliceBase() {
+  GraphDb db;
+  for (int v = 0; v < 6; ++v) db.AddNode();
+  db.AddFact(0, 'a', 1);
+  db.AddFact(1, 'a', 2);
+  db.AddFact(2, 'a', 3);
+  db.AddFact(0, 'a', 3);
+  db.AddFact(5, 'a', 0);
+  db.AddFact(4, 'a', 5);
+  db.AddFact(0, 'b', 2);
+  db.AddFact(3, 'b', 5);
+  db.AddFact(5, 'b', 5);
+  db.AddFact(1, 'c', 4);
+  db.AddFact(4, 'c', 1);
+  return db;
+}
+
+/// A parent version: its database and the index the registry keeps for it.
+struct SpliceParent {
+  std::shared_ptr<const GraphDb> db;
+  LabelIndex index;
+};
+
+SpliceParent FlatParent() {
+  auto db = std::make_shared<const GraphDb>(SpliceBase());
+  LabelIndex index(*db);
+  return {db, std::move(index)};
+}
+
+/// An overlay over an overlay: the parent is itself a delta version (one
+/// node, two facts added, one removed) whose index was spliced from the
+/// base's; its 'c' entry is shared from the base and ends a node early.
+SpliceParent OverlayParent() {
+  SpliceParent base = FlatParent();
+  GraphDb mid = GraphDb::MakeOverlay(base.db);
+  NodeId n6 = mid.AddNode();
+  mid.AddFact(n6, 'a', 2);
+  mid.AddFact(3, 'b', n6);
+  FactId removed = -1;
+  EXPECT_TRUE(mid.RemoveFact(2, 'a', 3, &removed).ok());
+  LabelIndex index(mid, base.index, {removed}, base.db->num_facts());
+  return {std::make_shared<const GraphDb>(std::move(mid)), std::move(index)};
+}
+
+/// A restored parent: the base written to a segment and mapped back, so
+/// the parent entries' spans point into the file.
+SpliceParent MappedParent() {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("splice_parent_" + std::to_string(::getpid()) + ".seg"))
+          .string();
+  EXPECT_TRUE(storage::WriteSegment(path, SpliceBase(), {}).ok());
+  Result<storage::LoadedSegment> loaded = storage::ReadSegment(path);
+  std::remove(path.c_str());  // the mapping outlives the name
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->db.is_mapped());
+  return {std::make_shared<const GraphDb>(std::move(loaded->db)),
+          std::move(loaded->label_index)};
+}
+
+/// A delta under construction: the child overlay plus the ids it
+/// tombstoned, as DeltaBatch records them.
+struct Delta {
+  GraphDb db;
+  std::vector<FactId> removed;
+
+  void Remove(NodeId source, char label, NodeId target) {
+    FactId id = -1;
+    ASSERT_TRUE(db.RemoveFact(source, label, target, &id).ok())
+        << source << " -" << label << "-> " << target;
+    removed.push_back(id);
+  }
+  /// Removes the lowest live fact id matching `pick`.
+  void RemoveFirst(const std::function<bool(const Fact&)>& pick) {
+    for (FactId f = 0; f < db.num_facts(); ++f) {
+      if (!db.IsLive(f) || !pick(db.fact(f))) continue;
+      const Fact fact = db.fact(f);
+      Remove(fact.source, fact.label, fact.target);
+      return;
+    }
+    ADD_FAILURE() << "no live fact to remove";
+  }
+};
+
+/// Applies `edit` to a child of `parent`, splices, and compares with a
+/// full build. Returns the spliced index for case-specific checks.
+LabelIndex SpliceAndCompare(const SpliceParent& parent,
+                            const std::function<void(Delta*)>& edit) {
+  Delta delta{GraphDb::MakeOverlay(parent.db), {}};
+  edit(&delta);
+  LabelIndex spliced(delta.db, parent.index, delta.removed,
+                     parent.db->num_facts());
+  LabelIndex full(delta.db);
+  EXPECT_EQ(spliced.labels(), full.labels());
+  EXPECT_EQ(spliced.num_facts(), full.num_facts());
+  for (char label : full.labels()) {
+    const LabelIndex::Entry got = spliced.entry(label);
+    const LabelIndex::Entry want = full.entry(label);
+    const bool shared =
+        got.facts.data() == parent.index.entry(label).facts.data();
+    EXPECT_EQ(ToVector(got.facts), ToVector(want.facts)) << label;
+    if (shared) {
+      // A shared entry keeps its own node horizon; compare per node.
+      for (NodeId v = 0; v < delta.db.num_nodes(); ++v) {
+        EXPECT_EQ(ToVector(spliced.FactsFrom(label, v)),
+                  ToVector(full.FactsFrom(label, v)))
+            << label << " from " << v;
+        EXPECT_EQ(ToVector(spliced.FactsInto(label, v)),
+                  ToVector(full.FactsInto(label, v)))
+            << label << " into " << v;
+      }
+      continue;
+    }
+    EXPECT_EQ(ToVector(got.by_source), ToVector(want.by_source)) << label;
+    EXPECT_EQ(ToVector(got.source_offset), ToVector(want.source_offset))
+        << label;
+    EXPECT_EQ(ToVector(got.by_target), ToVector(want.by_target)) << label;
+    EXPECT_EQ(ToVector(got.target_offset), ToVector(want.target_offset))
+        << label;
+  }
+  return spliced;
+}
+
+bool Shares(const LabelIndex& child, const SpliceParent& parent, char label) {
+  return !child.Facts(label).empty() &&
+         child.Facts(label).data() == parent.index.Facts(label).data();
+}
+
+class LabelIndexSpliceTest
+    : public ::testing::TestWithParam<SpliceParent (*)()> {};
+
+TEST_P(LabelIndexSpliceTest, NodesBeyondTheParentHorizon) {
+  SpliceParent parent = GetParam()();
+  LabelIndex spliced = SpliceAndCompare(parent, [](Delta* d) {
+    NodeId z = d->db.AddNode();
+    NodeId z2 = d->db.AddNode();
+    d->db.AddFact(z, 'a', 0);
+    d->db.AddFact(3, 'a', z2);
+    d->db.AddFact(z2, 'c', 1);  // 'c': an entry built for fewer nodes
+  });
+  EXPECT_EQ(spliced.entry('a').source_offset.size(),
+            static_cast<size_t>(parent.db->num_nodes() + 3));
+}
+
+TEST_P(LabelIndexSpliceTest, LabelEmptiedByRemovals) {
+  SpliceParent parent = GetParam()();
+  LabelIndex spliced = SpliceAndCompare(parent, [](Delta* d) {
+    d->Remove(1, 'c', 4);
+    d->Remove(4, 'c', 1);
+  });
+  EXPECT_TRUE(spliced.Facts('c').empty());
+  EXPECT_TRUE(Shares(spliced, parent, 'a'));
+}
+
+TEST_P(LabelIndexSpliceTest, LabelNewInTheDelta) {
+  SpliceParent parent = GetParam()();
+  LabelIndex spliced = SpliceAndCompare(parent, [](Delta* d) {
+    d->db.AddFact(2, 'd', 3);
+    d->db.AddFact(0, 'd', 2);
+  });
+  EXPECT_EQ(spliced.Facts('d').size(), 2u);
+}
+
+TEST_P(LabelIndexSpliceTest, AddThenRemoveInOneBatch) {
+  SpliceParent parent = GetParam()();
+  LabelIndex spliced = SpliceAndCompare(parent, [](Delta* d) {
+    d->db.AddFact(1, 'b', 3);
+    d->Remove(1, 'b', 3);
+    d->db.AddFact(2, 'f', 2);  // a label that never becomes live
+    d->Remove(2, 'f', 2);
+  });
+  // Nothing live changed: every entry is the parent's.
+  EXPECT_TRUE(Shares(spliced, parent, 'b'));
+  EXPECT_TRUE(spliced.Facts('f').empty());
+  EXPECT_EQ(static_cast<size_t>(spliced.shared_labels()),
+            parent.index.labels().size());
+}
+
+TEST_P(LabelIndexSpliceTest, RemoveThenReAddABaseFact) {
+  SpliceParent parent = GetParam()();
+  SpliceAndCompare(parent, [](Delta* d) {
+    d->Remove(0, 'a', 1);
+    d->db.AddFact(0, 'a', 1);  // a new id past every parent id
+  });
+}
+
+TEST_P(LabelIndexSpliceTest, RemovalsAtNodeZeroAndTheLastNode) {
+  SpliceParent parent = GetParam()();
+  const NodeId last = parent.db->num_nodes() - 1;
+  SpliceAndCompare(parent, [last](Delta* d) {
+    d->RemoveFirst([](const Fact& f) { return f.source == 0; });
+    d->RemoveFirst([](const Fact& f) { return f.target == 0; });
+    d->RemoveFirst([last](const Fact& f) { return f.source == last; });
+    d->RemoveFirst([last](const Fact& f) { return f.target == last; });
+  });
+}
+
+TEST_P(LabelIndexSpliceTest, MultiplicityBumpSharesTheParentEntry) {
+  SpliceParent parent = GetParam()();
+  LabelIndex spliced = SpliceAndCompare(
+      parent, [](Delta* d) { d->db.AddFact(0, 'a', 1, /*multiplicity=*/4); });
+  EXPECT_TRUE(Shares(spliced, parent, 'a'));
+  EXPECT_EQ(static_cast<size_t>(spliced.shared_labels()),
+            parent.index.labels().size());
+}
+
+TEST_P(LabelIndexSpliceTest, EveryCaseInOneBatch) {
+  SpliceParent parent = GetParam()();
+  const NodeId last = parent.db->num_nodes() - 1;
+  SpliceAndCompare(parent, [last](Delta* d) {
+    d->RemoveFirst([](const Fact& f) { return f.source == 0; });
+    d->RemoveFirst([last](const Fact& f) { return f.target == last; });
+    NodeId z = d->db.AddNode();
+    d->db.AddFact(z, 'a', 0);
+    d->db.AddFact(z, 'c', z);
+    d->Remove(1, 'c', 4);
+    d->Remove(4, 'c', 1);
+    d->db.AddFact(2, 'd', 3);
+    d->db.AddFact(1, 'b', 3);
+    d->Remove(1, 'b', 3);
+    d->Remove(1, 'a', 2);
+    d->db.AddFact(1, 'a', 2);
+    d->db.AddFact(5, 'a', 0, /*multiplicity=*/2);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Parents, LabelIndexSpliceTest,
+    ::testing::Values(&FlatParent, &OverlayParent, &MappedParent),
+    [](const ::testing::TestParamInfo<SpliceParent (*)()>& info) {
+      return std::string(info.index == 0   ? "Flat"
+                         : info.index == 1 ? "OverlayOverOverlay"
+                                           : "Mapped");
+    });
 
 }  // namespace
 }  // namespace rpqres
