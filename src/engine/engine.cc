@@ -444,7 +444,7 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
               reference_options.cancel->ShouldStop()
           ? Result<ResilienceResult>(reference_options.cancel->ToStatus())
           : SolveExactResilience(query.language, db, query.semantics,
-                                 reference_options);
+                                 *request.db.label_index(), reference_options);
   d.reference_stats.solve_micros = MicrosSince(start);
   phase_micros_->WithLabel(reference_phase)
       .Record(d.reference_stats.solve_micros);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "automata/ops.h"
+#include "graphdb/label_index.h"
 #include "util/check.h"
 
 namespace rpqres {
@@ -38,43 +40,48 @@ std::string Hypergraph::ToString() const {
 
 namespace {
 
-// A DFS frame: one node and the position in its live out-facts.
+// A DFS frame: one node and the position in its live out-facts, read
+// label by label from the index.
 struct OutCursor {
-  NodeId node;
-  GraphDb::IncidentFacts::iterator next, end;
+  explicit OutCursor(NodeId v) : node(v) {}
 
-  static OutCursor At(const GraphDb& db, NodeId v) {
-    GraphDb::IncidentFacts out = db.OutFactsLive(v);
-    return OutCursor{v, out.begin(), out.end()};
-  }
-  bool done() const { return next == end; }
-  FactId Next() {
-    FactId f = *next;
-    ++next;
-    return f;
+  NodeId node;
+  size_t next_label = 0;           // position in index.labels()
+  std::span<const FactId> facts;   // the current label's unread facts
+
+  // The next out-fact of `node` into *f; false when none is left.
+  bool Next(const LabelIndex& index, FactId* f) {
+    while (facts.empty()) {
+      if (next_label == index.labels().size()) return false;
+      facts = index.FactsFrom(index.labels()[next_label++], node);
+    }
+    *f = facts.front();
+    facts = facts.subspan(1);
+    return true;
   }
 };
 
 // True iff the fact graph of `db` has a directed cycle (nodes as vertices).
-bool HasDirectedCycle(const GraphDb& db) {
+bool HasDirectedCycle(const GraphDb& db, const LabelIndex& index) {
   int n = db.num_nodes();
   std::vector<int> color(n, 0);
   for (int root = 0; root < n; ++root) {
     if (color[root] != 0) continue;
-    std::vector<OutCursor> stack{OutCursor::At(db, root)};
+    std::vector<OutCursor> stack{OutCursor(root)};
     color[root] = 1;
     while (!stack.empty()) {
       OutCursor& top = stack.back();
-      if (top.done()) {
+      FactId f;
+      if (!top.Next(index, &f)) {
         color[top.node] = 2;
         stack.pop_back();
         continue;
       }
-      NodeId to = db.fact(top.Next()).target;
+      NodeId to = db.fact(f).target;
       if (color[to] == 1) return true;
       if (color[to] == 0) {
         color[to] = 1;
-        stack.push_back(OutCursor::At(db, to));
+        stack.push_back(OutCursor(to));
       }
     }
   }
@@ -85,6 +92,7 @@ bool HasDirectedCycle(const GraphDb& db) {
 
 Result<Hypergraph> HypergraphOfMatches(const Language& lang,
                                        const GraphDb& db, size_t max_walks) {
+  const LabelIndex index(db);
   // Determine a walk-length bound.
   int max_length;
   if (lang.IsFinite()) {
@@ -94,7 +102,7 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
       max_length = std::max(max_length, static_cast<int>(w.size()));
     }
   } else {
-    if (HasDirectedCycle(db)) {
+    if (HasDirectedCycle(db, index)) {
       return Status::FailedPrecondition(
           "HypergraphOfMatches: infinite language over a cyclic database "
           "(matches cannot be enumerated as bounded walks)");
@@ -121,10 +129,11 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
 
   // Depth-first over an explicit stack of out-fact cursors.
   for (NodeId start = 0; start < db.num_nodes(); ++start) {
-    std::vector<OutCursor> stack{OutCursor::At(db, start)};
+    std::vector<OutCursor> stack{OutCursor(start)};
     while (!stack.empty()) {
-      OutCursor& frame = stack.back();
-      if (frame.done() || static_cast<int>(walk.size()) >= max_length) {
+      FactId f;
+      if (static_cast<int>(walk.size()) >= max_length ||
+          !stack.back().Next(index, &f)) {
         stack.pop_back();
         if (!walk.empty()) {
           walk.pop_back();
@@ -132,7 +141,6 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
         }
         continue;
       }
-      FactId f = frame.Next();
       if (++walks > max_walks) {
         return Status::OutOfRange("HypergraphOfMatches: more than " +
                                   std::to_string(max_walks) + " walks");
@@ -145,7 +153,7 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
         match.erase(std::unique(match.begin(), match.end()), match.end());
         matches.insert(std::move(match));
       }
-      stack.push_back(OutCursor::At(db, db.fact(f).target));
+      stack.push_back(OutCursor(db.fact(f).target));
     }
     RPQRES_DCHECK(walk.empty());
   }

@@ -16,10 +16,6 @@ NodeId GraphDb::AddNode(const std::string& name) {
                    "AddNode: mapped databases are immutable");
   NodeId id = static_cast<NodeId>(num_nodes());
   node_names_.push_back(name);
-  if (base_ == nullptr) {
-    out_facts_.emplace_back();
-    in_facts_.emplace_back();
-  }
   return id;
 }
 
@@ -89,14 +85,6 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
   facts_.push_back(Fact{source, label, target});
   multiplicities_.push_back(multiplicity);
   exogenous_.push_back(false);
-  if (base_ == nullptr) {
-    out_facts_[source].push_back(id);
-    in_facts_[target].push_back(id);
-  } else {
-    overlay_out_[source].push_back(id);
-    overlay_in_[target].push_back(id);
-  }
-  if (!dead_.empty()) dead_.push_back(0);
   fact_index_[key] = id;
   CountEndogenous(id, +1);
   return id;
@@ -196,8 +184,6 @@ GraphDb GraphDb::MakeOverlay(std::shared_ptr<const GraphDb> parent) {
     out.num_dead_ = p.num_dead_;
     out.dead_ = p.dead_;
     out.mult_override_ = p.mult_override_;
-    out.overlay_out_ = p.overlay_out_;
-    out.overlay_in_ = p.overlay_in_;
   }
   out.base_nodes_ = out.base_->num_nodes();
   out.base_facts_ = out.base_->num_facts();
@@ -218,7 +204,11 @@ Status GraphDb::RemoveFact(NodeId source, char label, NodeId target,
                             std::to_string(target));
   }
   if (!IsExogenous(id)) CountEndogenous(id, -1);
-  if (dead_.empty()) dead_.assign(num_facts(), 0);
+  // The bitmap covers the ids of the last removal; grow it to the whole
+  // id space only when a removal needs it.
+  if (dead_.size() < static_cast<size_t>(num_facts())) {
+    dead_.resize(num_facts(), 0);
+  }
   dead_[id] = 1;
   ++num_dead_;
   if (removed != nullptr) *removed = id;
@@ -266,18 +256,6 @@ GraphDb GraphDb::Compact(std::vector<FactId>* old_id_of) const {
   return out;
 }
 
-std::pair<const FactId*, const FactId*> GraphDb::FlatIncidentRange(
-    NodeId node, bool out) const {
-  RPQRES_DCHECK(base_ == nullptr);
-  if (mapped_ != nullptr) {
-    const int32_t* offset = out ? mapped_->out_offset : mapped_->in_offset;
-    const FactId* adj = out ? mapped_->out_adj : mapped_->in_adj;
-    return {adj + offset[node], adj + offset[node + 1]};
-  }
-  const std::vector<FactId>& list = out ? out_facts_[node] : in_facts_[node];
-  return {list.data(), list.data() + list.size()};
-}
-
 GraphDb GraphDb::FromMappedFlat(
     std::vector<std::string> node_names,
     std::shared_ptr<const MappedFlatStorage> storage) {
@@ -292,32 +270,6 @@ GraphDb GraphDb::FromMappedFlat(
     out.endogenous_multiplicity_ += mapped.multiplicities[id];
   }
   return out;
-}
-
-GraphDb::IncidentFacts GraphDb::IncidentView(NodeId node, bool out) const {
-  const uint8_t* dead = dead_.empty() ? nullptr : dead_.data();
-  const FactId* first = nullptr;
-  const FactId* first_end = nullptr;
-  if (base_ == nullptr) {
-    std::tie(first, first_end) = FlatIncidentRange(node, out);
-  } else if (node < base_nodes_) {
-    std::tie(first, first_end) = base_->FlatIncidentRange(node, out);
-  }
-  if (first == first_end) {
-    first = nullptr;
-    first_end = nullptr;
-  }
-  const FactId* second = first_end;
-  const FactId* second_end = first_end;
-  if (base_ != nullptr) {
-    const auto& overlay = out ? overlay_out_ : overlay_in_;
-    auto it = overlay.find(node);
-    if (it != overlay.end() && !it->second.empty()) {
-      second = it->second.data();
-      second_end = second + it->second.size();
-    }
-  }
-  return IncidentFacts(dead, first, first_end, second, second_end);
 }
 
 GraphDb GraphDb::RemoveFacts(const std::vector<FactId>& fact_ids) const {

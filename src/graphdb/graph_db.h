@@ -6,7 +6,8 @@
 // every fact as cost 1 (paper, Section 2: RES_set reduces to RES_bag with
 // unit multiplicities).
 //
-// Three physical layouts share this one type:
+// Three physical layouts share this one type. They differ only in where
+// the facts, multiplicities and exogenous bits live:
 //
 //  * Flat databases — the historical layout: dense node/fact arrays built
 //    by AddNode/AddFact. Every mutator works, every fact id is live.
@@ -20,13 +21,16 @@
 //    overlay copies O(|overlay|) state, never the base, which is what
 //    makes a delta commit scale with the delta.
 //
-// Fact ids stay dense over [0, num_facts()) in both layouts; in an
+// A GraphDb keeps no adjacency of its own: walking the facts at a node
+// goes through a LabelIndex (graphdb/label_index), the one fact adjacency
+// of the program, which holds them per (label, node).
+//
+// Fact ids stay dense over [0, num_facts()) in every layout; in an
 // overlay, tombstoned ids are *dead* — IsLive(id) is false and the id
-// never appears in OutFactsLive/InFactsLive, a LabelIndex, a solver
-// network, or a serialization. Code that indexes storage by fact id
-// (cost arrays, removal masks) keeps working unchanged; code that
-// *enumerates* facts must either use the live views or guard with
-// IsLive.
+// never appears in a LabelIndex, a solver network, or a serialization.
+// Code that indexes storage by fact id (cost arrays, removal masks)
+// keeps working unchanged; code that *enumerates* facts must either go
+// through a LabelIndex or guard with IsLive.
 
 #ifndef RPQRES_GRAPHDB_GRAPH_DB_H_
 #define RPQRES_GRAPHDB_GRAPH_DB_H_
@@ -74,10 +78,6 @@ struct MappedFlatStorage {
   const Fact* facts = nullptr;                 // [num_facts]
   const Capacity* multiplicities = nullptr;    // [num_facts]
   const uint8_t* exogenous = nullptr;          // [num_facts], 0/1
-  const int32_t* out_offset = nullptr;         // [num_nodes + 1] CSR
-  const FactId* out_adj = nullptr;             // [num_facts]
-  const int32_t* in_offset = nullptr;          // [num_nodes + 1] CSR
-  const FactId* in_adj = nullptr;              // [num_facts]
   const FactId* sorted_by_key = nullptr;       // perm sorted by (s, l, t)
   int32_t num_facts = 0;
   std::shared_ptr<const void> mapping;
@@ -187,7 +187,9 @@ class GraphDb {
   static GraphDb FromMappedFlat(std::vector<std::string> node_names,
                                 std::shared_ptr<const MappedFlatStorage> storage);
   /// False iff `id` is tombstoned. Flat databases are all-live.
-  bool IsLive(FactId id) const { return dead_.empty() || !dead_[id]; }
+  bool IsLive(FactId id) const {
+    return static_cast<size_t>(id) >= dead_.size() || dead_[id] == 0;
+  }
   /// Facts the overlay added or tombstoned on top of its base — the size
   /// the registry's compaction threshold watches. 0 for flat databases.
   int64_t overlay_size() const {
@@ -217,87 +219,6 @@ class GraphDb {
   /// (for translating witness contingency sets).
   GraphDb Compact(std::vector<FactId>* old_id_of = nullptr) const;
 
-  /// Iterable view over the *live* facts incident to one node: the base
-  /// facts (tombstones filtered) chained with the overlay's additions.
-  /// On a flat database this degenerates to the plain per-node list.
-  class IncidentFacts {
-   public:
-    class iterator {
-     public:
-      FactId operator*() const { return *pos_; }
-      iterator& operator++() {
-        ++pos_;
-        Settle();
-        return *this;
-      }
-      bool operator!=(const iterator& other) const {
-        return pos_ != other.pos_;
-      }
-      bool operator==(const iterator& other) const {
-        return pos_ == other.pos_;
-      }
-
-     private:
-      friend class IncidentFacts;
-      iterator(const uint8_t* dead, const FactId* pos, const FactId* seg_end,
-               const FactId* next, const FactId* next_end)
-          : dead_(dead), pos_(pos), seg_end_(seg_end), next_(next),
-            next_end_(next_end) {
-        Settle();
-      }
-      void Settle() {
-        for (;;) {
-          if (pos_ == seg_end_) {
-            if (next_ == nullptr || pos_ == next_end_) return;
-            pos_ = next_;
-            seg_end_ = next_end_;
-            next_ = nullptr;
-            continue;
-          }
-          if (dead_ == nullptr || !dead_[*pos_]) return;
-          ++pos_;
-        }
-      }
-      const uint8_t* dead_;
-      const FactId* pos_;
-      const FactId* seg_end_;
-      const FactId* next_;
-      const FactId* next_end_;
-    };
-
-    iterator begin() const {
-      return iterator(dead_, first_, first_end_, second_, second_end_);
-    }
-    iterator end() const {
-      return iterator(nullptr, second_end_, second_end_, nullptr,
-                      second_end_);
-    }
-    bool empty() const { return !(begin() != end()); }
-
-   private:
-    friend class GraphDb;
-    IncidentFacts(const uint8_t* dead, const FactId* first,
-                  const FactId* first_end, const FactId* second,
-                  const FactId* second_end)
-        : dead_(dead), first_(first), first_end_(first_end), second_(second),
-          second_end_(second_end) {}
-    const uint8_t* dead_;
-    const FactId* first_;
-    const FactId* first_end_;
-    const FactId* second_;
-    const FactId* second_end_;
-  };
-
-  /// Live facts out of / into `node`, in ascending id order. Works for
-  /// every layout; on a flat database it walks the plain per-node list
-  /// (on a mapped one, the mmap'ed CSR arrays).
-  IncidentFacts OutFactsLive(NodeId node) const {
-    return IncidentView(node, /*out=*/true);
-  }
-  IncidentFacts InFactsLive(NodeId node) const {
-    return IncidentView(node, /*out=*/false);
-  }
-
   // --------------------------------------------------------------------------
 
   /// Edge labels present among live facts, sorted, deduplicated.
@@ -311,15 +232,10 @@ class GraphDb {
   std::string ToString() const;
 
  private:
-  IncidentFacts IncidentView(NodeId node, bool out) const;
   bool LookupMultOverride(FactId id, Capacity* value) const;
   /// Moves the endogenous totals by `sign` times fact `id`'s current
   /// multiplicity (an endogenous fact appearing or going away).
   void CountEndogenous(FactId id, int sign);
-  /// [first, last) of the per-node fact list of a *flat* database (heap
-  /// vectors or mapped CSR). Not valid on overlays.
-  std::pair<const FactId*, const FactId*> FlatIncidentRange(NodeId node,
-                                                            bool out) const;
 
   // Flat storage — for an overlay these hold the overlay's own nodes and
   // facts only; ids are offset by base_nodes_ / base_facts_.
@@ -327,14 +243,12 @@ class GraphDb {
   std::vector<Fact> facts_;
   std::vector<Capacity> multiplicities_;
   std::vector<bool> exogenous_;
-  std::vector<std::vector<FactId>> out_facts_;  // flat layout only
-  std::vector<std::vector<FactId>> in_facts_;   // flat layout only
   std::map<std::string, NodeId> nodes_by_name_;
   std::map<std::tuple<NodeId, char, NodeId>, FactId> fact_index_;
 
   // Mapped storage (null unless built by FromMappedFlat). When set the
-  // database is flat and facts_/multiplicities_/exogenous_/out_facts_/
-  // in_facts_/fact_index_ stay empty; node_names_ holds the dictionary.
+  // database is flat and facts_/multiplicities_/exogenous_/fact_index_
+  // stay empty; node_names_ holds the dictionary.
   std::shared_ptr<const MappedFlatStorage> mapped_;
 
   // Overlay state (empty for flat databases).
@@ -342,14 +256,12 @@ class GraphDb {
   int32_t base_nodes_ = 0;
   int32_t base_facts_ = 0;
   int32_t num_dead_ = 0;
-  /// Tombstone bitmap over [0, num_facts()); allocated on first removal.
+  /// Tombstone bitmap, allocated on first removal. It covers the ids that
+  /// existed at the last removal; ids past its end are live, so adding a
+  /// fact never touches it.
   std::vector<uint8_t> dead_;
   /// Multiplicity overrides for base facts (AddFact bumps), sorted by id.
   std::vector<std::pair<FactId, Capacity>> mult_override_;
-  /// Overlay adjacency: facts added on top of the base, keyed by incident
-  /// node (base or overlay). Flat databases use out_facts_/in_facts_.
-  std::map<NodeId, std::vector<FactId>> overlay_out_;
-  std::map<NodeId, std::vector<FactId>> overlay_in_;
 
   // Running totals over the live endogenous facts (both layouts), kept by
   // every mutator so TotalCost and CheckTotalMultiplicity are O(1). The

@@ -1,10 +1,14 @@
 // rpqres — graphdb/label_index: precomputed per-label fact adjacency.
 //
-// LabelIndex is the one per-label view of a database. The three
-// polynomial solvers (Thm 3.13, Prp 7.6, Prp 7.9) touch only the facts
-// whose label the query uses, and they reach those facts through an
-// index and nothing else; the segment writer stores an index's entries
-// verbatim, so a reopened index answers identically. A LabelIndex is
+// LabelIndex is the only fact adjacency of the program: a GraphDb keeps
+// its facts as dense arrays and no per-node lists, so every walk over a
+// database's facts goes through an index. The three polynomial solvers
+// (Thm 3.13, Prp 7.6, Prp 7.9) touch only the facts whose label the
+// query uses; the product BFS of the exact solver and of RPQ evaluation
+// (graphdb/rpq_eval) follows only facts whose label is the letter of a
+// transition; the walk enumeration of the hypergraph of matches reads a
+// node's out-facts label by label. The segment writer stores an index's
+// entries verbatim, so a reopened index answers identically. A LabelIndex is
 // built once per immutable database snapshot (the DbRegistry does this
 // at Register time) and shared by every query against that snapshot;
 // one-shot callers without a snapshot build one on demand.

@@ -48,8 +48,11 @@ ProductAutomaton PrepareProductAutomaton(const Enfa& query) {
 // dense id node · |S| + state. Fact moves cost 1 step; ε-moves cost 0:
 // a configuration's whole ε-closure is expanded eagerly at the BFS level
 // it is reached on (product ε-edges stay within one database node), so
-// plain BFS yields fewest-facts shortest walks.
-bool SearchProduct(const GraphDb& db, const ProductAutomaton& query,
+// plain BFS yields fewest-facts shortest walks. A configuration (v, s)
+// follows each letter transition s -a-> t through the index's facts with
+// label a out of v: the only facts the product has an edge for.
+bool SearchProduct(const GraphDb& db, const LabelIndex& index,
+                   const ProductAutomaton& query,
                    const uint8_t* removed, NodeId source, NodeId target,
                    SolverScratch& scratch, WitnessWalk* walk) {
   if (query.accepts_epsilon && (source < 0 || source == target)) {
@@ -124,17 +127,13 @@ bool SearchProduct(const GraphDb& db, const ProductAutomaton& query,
       }
       return true;
     }
-    const int32_t first = query.letter_offset[s];
-    const int32_t last = query.letter_offset[s + 1];
-    if (first == last) continue;
-    for (FactId fid : db.OutFactsLive(v)) {
-      if (removed != nullptr && removed[fid] != 0) continue;
-      const Fact& fact = db.fact(fid);
-      for (int32_t i = first; i < last; ++i) {
-        if (query.letter_symbol[i] == fact.label &&
-            !seen.Contains(fact.target * n + query.letter_to[i])) {
-          push_with_closure(fact.target, query.letter_to[i], fid, p);
-        }
+    for (int32_t i = query.letter_offset[s]; i < query.letter_offset[s + 1];
+         ++i) {
+      const int32_t to = query.letter_to[i];
+      for (FactId fid : index.FactsFrom(query.letter_symbol[i], v)) {
+        if (removed != nullptr && removed[fid] != 0) continue;
+        const NodeId w = db.fact(fid).target;
+        if (!seen.Contains(w * n + to)) push_with_closure(w, to, fid, p);
       }
     }
   }
@@ -143,7 +142,8 @@ bool SearchProduct(const GraphDb& db, const ProductAutomaton& query,
 
 namespace {
 
-// The Enfa entry points: per-call tables and mask, the thread's scratch.
+// The Enfa entry points: per-call tables, index and mask, the thread's
+// scratch.
 bool SearchEnfa(const GraphDb& db, const Enfa& query,
                 const std::vector<bool>* removed_facts, NodeId source,
                 NodeId target, WitnessWalk* walk) {
@@ -152,7 +152,7 @@ bool SearchEnfa(const GraphDb& db, const Enfa& query,
   if (removed_facts != nullptr) {
     mask.assign(removed_facts->begin(), removed_facts->end());
   }
-  return SearchProduct(db, automaton,
+  return SearchProduct(db, LabelIndex(db), automaton,
                        removed_facts != nullptr ? mask.data() : nullptr,
                        source, target, SolverScratch::ThreadLocal(), walk);
 }

@@ -6,7 +6,10 @@
 // SearchProduct runs it over a prepared ProductAutomaton with all of its
 // transient state in a caller-owned SolverScratch, so a caller that
 // prepares the automaton once (the exact solver's plan) searches without
-// allocating. The Enfa overloads below prepare the automaton per call.
+// allocating. The product only has an edge for a fact whose label is the
+// letter of a transition, so the search reads the database's facts
+// through a LabelIndex, per (label, node). The Enfa overloads below
+// prepare the automaton and build a LabelIndex per call.
 
 #ifndef RPQRES_GRAPHDB_RPQ_EVAL_H_
 #define RPQRES_GRAPHDB_RPQ_EVAL_H_
@@ -18,6 +21,7 @@
 #include "automata/enfa.h"
 #include "flow/solver_scratch.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "lang/language.h"
 
 namespace rpqres {
@@ -54,9 +58,14 @@ ProductAutomaton PrepareProductAutomaton(const Enfa& query);
 /// `target` (any node when target < 0). With fixed endpoints the empty
 /// walk counts only when source == target. When `walk` is non-null it
 /// receives a shortest such walk (fewest facts, counting repetitions).
-/// Every transient buffer lives in `scratch`'s exact section; a warm
-/// scratch makes the search allocation-free.
-bool SearchProduct(const GraphDb& db, const ProductAutomaton& query,
+/// `index` must be a LabelIndex of `db`. A configuration (v, s) expands
+/// s's letter transitions in automaton order, and for each one the facts
+/// index.FactsFrom(letter, v) in ascending id order; that order decides
+/// which shortest walk is returned. Every transient buffer lives in
+/// `scratch`'s exact section; a warm scratch makes the search
+/// allocation-free.
+bool SearchProduct(const GraphDb& db, const LabelIndex& index,
+                   const ProductAutomaton& query,
                    const uint8_t* removed, NodeId source, NodeId target,
                    SolverScratch& scratch, WitnessWalk* walk = nullptr);
 

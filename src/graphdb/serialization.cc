@@ -3,6 +3,7 @@
 #include <charconv>
 #include <sstream>
 #include <system_error>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -13,14 +14,18 @@ std::string SerializeGraphDb(const GraphDb& db) {
   os << "# rpqres graph database: " << db.num_nodes() << " nodes, "
      << db.num_live_facts() << " facts\n";
   // Isolated nodes carry no fact line; declare them explicitly so the
-  // node set (and the header count) round-trips. Live views make this
-  // (and the fact listing below) identical for a versioned overlay and
-  // its compacted flat twin — the byte-equality the delta-equivalence
-  // suite pins down.
+  // node set (and the header count) round-trips. Only live facts count,
+  // which makes this (and the fact listing below) identical for a
+  // versioned overlay and its compacted flat twin — the byte-equality the
+  // delta-equivalence suite pins down.
+  std::vector<uint8_t> has_fact(db.num_nodes(), 0);
+  for (FactId f = 0; f < db.num_facts(); ++f) {
+    if (!db.IsLive(f)) continue;
+    has_fact[db.fact(f).source] = 1;
+    has_fact[db.fact(f).target] = 1;
+  }
   for (NodeId v = 0; v < db.num_nodes(); ++v) {
-    if (db.OutFactsLive(v).empty() && db.InFactsLive(v).empty()) {
-      os << "node " << db.node_name(v) << "\n";
-    }
+    if (has_fact[v] == 0) os << "node " << db.node_name(v) << "\n";
   }
   for (FactId f = 0; f < db.num_facts(); ++f) {
     if (!db.IsLive(f)) continue;

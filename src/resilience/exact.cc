@@ -17,10 +17,10 @@ namespace {
 class BranchAndBound {
  public:
   BranchAndBound(const ProductAutomaton& query, const GraphDb& db,
-                 Semantics semantics, const ExactOptions& options,
-                 SolverScratch& scratch)
-      : query_(query), db_(db), semantics_(semantics), options_(options),
-        scratch_(scratch) {}
+                 const LabelIndex& index, Semantics semantics,
+                 const ExactOptions& options, SolverScratch& scratch)
+      : query_(query), db_(db), index_(index), semantics_(semantics),
+        options_(options), scratch_(scratch) {}
 
   Status Run() {
     scratch_.removed.assign(db_.num_facts(), 0);
@@ -54,8 +54,8 @@ class BranchAndBound {
   Capacity DisjointMatchLowerBound() {
     std::vector<uint8_t>& blocked = scratch_.removed;
     Capacity bound = 0;
-    while (SearchProduct(db_, query_, blocked.data(), -1, -1, scratch_,
-                         &scratch_.walk)) {
+    while (SearchProduct(db_, index_, query_, blocked.data(), -1, -1,
+                         scratch_, &scratch_.walk)) {
       RPQRES_CHECK(!scratch_.walk.empty());  // the caller ruled out ε ∈ L
       Capacity cheapest = kInfiniteCapacity;
       for (FactId f : scratch_.walk) {
@@ -84,7 +84,7 @@ class BranchAndBound {
     }
     if (cost + lower_bound_hint >= best_value_) return Status::OK();
     std::vector<uint8_t>& removed = scratch_.removed;
-    if (!SearchProduct(db_, query_, removed.data(), -1, -1, scratch_,
+    if (!SearchProduct(db_, index_, query_, removed.data(), -1, -1, scratch_,
                        &scratch_.walk)) {
       // Current removal set is a contingency set cheaper than the best.
       best_value_ = cost;
@@ -135,6 +135,7 @@ class BranchAndBound {
 
   const ProductAutomaton& query_;
   const GraphDb& db_;
+  const LabelIndex& index_;
   Semantics semantics_;
   const ExactOptions& options_;
   SolverScratch& scratch_;
@@ -179,6 +180,7 @@ Result<ResilienceResult> BruteForce(const Language& lang, const GraphDb& db,
     RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
   }
   const ProductAutomaton query = PrepareProductAutomaton(lang.enfa());
+  const LabelIndex index(db);
   SolverScratch& scratch = SolverScratch::ThreadLocal();
   int n = db.num_facts();
   Capacity best = kInfiniteCapacity;
@@ -200,7 +202,8 @@ Result<ResilienceResult> BruteForce(const Language& lang, const GraphDb& db,
       }
     }
     if (touches_exogenous || cost >= best) continue;
-    if (!SearchProduct(db, query, removed.data(), source, target, scratch)) {
+    if (!SearchProduct(db, index, query, removed.data(), source, target,
+                       scratch)) {
       best = cost;
       best_mask = mask;
     }
@@ -228,13 +231,23 @@ Result<ResilienceResult> SolveExactResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics,
                                               const ExactOptions& options) {
+  return SolveExactResilience(lang, db, semantics, LabelIndex(db), options);
+}
+
+Result<ResilienceResult> SolveExactResilience(const Language& lang,
+                                              const GraphDb& db,
+                                              Semantics semantics,
+                                              const LabelIndex& index,
+                                              const ExactOptions& options) {
   return SolveExactResilienceWithPlan(
-      PrepareExactPlan(InfixFreeSublanguage(lang)), db, semantics, options);
+      PrepareExactPlan(InfixFreeSublanguage(lang)), db, semantics, index,
+      options);
 }
 
 Result<ResilienceResult> SolveExactResilienceWithPlan(
     const ExactPlan& plan, const GraphDb& db, Semantics semantics,
-    const ExactOptions& options, SolverScratch* scratch) {
+    const LabelIndex& index, const ExactOptions& options,
+    SolverScratch* scratch) {
   ResilienceResult result;
   result.algorithm = "exact branch & bound";
   const ProductAutomaton& query = plan.automaton;
@@ -246,7 +259,7 @@ Result<ResilienceResult> SolveExactResilienceWithPlan(
     RPQRES_RETURN_IF_ERROR(db.CheckTotalMultiplicity());
   }
   SolverScratch& s = scratch != nullptr ? *scratch : SolverScratch::ThreadLocal();
-  if (!SearchProduct(db, query, nullptr, -1, -1, s)) {
+  if (!SearchProduct(db, index, query, nullptr, -1, -1, s)) {
     return result;  // already false: resilience 0
   }
   // Infinite iff the query survives the deletion of every endogenous fact
@@ -257,12 +270,12 @@ Result<ResilienceResult> SolveExactResilienceWithPlan(
     for (FactId f = 0; f < db.num_facts(); ++f) {
       s.removed[f] = db.IsExogenous(f) ? 0 : 1;
     }
-    if (SearchProduct(db, query, s.removed.data(), -1, -1, s)) {
+    if (SearchProduct(db, index, query, s.removed.data(), -1, -1, s)) {
       result.infinite = true;
       return result;
     }
   }
-  BranchAndBound solver(query, db, semantics, options, s);
+  BranchAndBound solver(query, db, index, semantics, options, s);
   RPQRES_RETURN_IF_ERROR(solver.Run());
   result.value = solver.best_value();
   result.contingency = solver.best_set();

@@ -15,7 +15,10 @@
 // reads about the query — IF(L)'s letter-transition CSR, whether its
 // initial closure accepts, the final bits — is an ExactPlan, built once
 // per query by PrepareExactPlan (the planner stores it in
-// ResiliencePlan::exact). Everything transient — the BFS seen set,
+// ResiliencePlan::exact). It reads the database's facts through a
+// LabelIndex, like every other solver: the caller's (a DbRegistry
+// snapshot's), or one the one-shot entry points build per call; the
+// brute force builds its own. Everything transient — the BFS seen set,
 // parents and queue, the removal mask, the per-depth match stack and the
 // incumbent — lives in the exact section of a SolverScratch: the caller's
 // (the engine passes its per-thread scratch), or else the calling
@@ -26,6 +29,7 @@
 #define RPQRES_RESILIENCE_EXACT_H_
 
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
 #include "resilience/result.h"
@@ -59,19 +63,26 @@ ExactPlan PrepareExactPlan(const Language& ifl);
 
 /// Exact resilience for an arbitrary regular language (exponential time).
 /// Searches over IF(L) (same query, shorter witness matches). One-shot:
-/// derives IF(L) and its ExactPlan first.
+/// derives IF(L) and its ExactPlan first, and builds a LabelIndex of `db`.
 Result<ResilienceResult> SolveExactResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics,
                                               const ExactOptions& options = {});
+/// The same over a caller's LabelIndex of `db`.
+Result<ResilienceResult> SolveExactResilience(const Language& lang,
+                                              const GraphDb& db,
+                                              Semantics semantics,
+                                              const LabelIndex& index,
+                                              const ExactOptions& options = {});
 
-/// SolveExactResilience over prepared tables, searching with `scratch`
-/// (the calling thread's scratch when null). Under bag semantics,
-/// OutOfRange when the database's endogenous multiplicities sum past
-/// kMaxTotalMultiplicity.
+/// SolveExactResilience over prepared tables and a LabelIndex of `db`,
+/// searching with `scratch` (the calling thread's scratch when null).
+/// Under bag semantics, OutOfRange when the database's endogenous
+/// multiplicities sum past kMaxTotalMultiplicity.
 Result<ResilienceResult> SolveExactResilienceWithPlan(
     const ExactPlan& plan, const GraphDb& db, Semantics semantics,
-    const ExactOptions& options = {}, SolverScratch* scratch = nullptr);
+    const LabelIndex& index, const ExactOptions& options = {},
+    SolverScratch* scratch = nullptr);
 
 /// All-subsets brute force; requires db.num_facts() <= max_facts (<= 24).
 Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,

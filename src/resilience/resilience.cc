@@ -14,8 +14,9 @@ namespace rpqres {
 
 namespace {
 
-/// The flow solvers read facts through a LabelIndex. A caller without one
-/// gets it built from `db` on first use, so only a flow solve builds one.
+/// Every solver reads facts through a LabelIndex. A caller without one
+/// gets it built from `db` on first use, so a trivial plan or a brute
+/// force (which indexes the database it enumerates) builds none.
 class IndexOnDemand {
  public:
   IndexOnDemand(const GraphDb& db, const LabelIndex* index)
@@ -132,7 +133,7 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
       obs::ScopedSpan span(scratch != nullptr ? scratch->trace : nullptr,
                            obs::SpanKind::kExactSearch);
       return SolveExactResilienceWithPlan(*plan.exact, db, semantics,
-                                          exact_options, scratch);
+                                          index.get(), exact_options, scratch);
     }
     case ResilienceMethod::kBruteForce:
       return SolveBruteForceResilience(plan.if_language, db, semantics);
@@ -163,7 +164,8 @@ Result<ResilienceResult> ComputeResilience(const Language& lang,
     case ResilienceMethod::kOneDanglingFlow:
       return SolveOneDanglingResilience(lang, db, semantics, index.get());
     case ResilienceMethod::kExact:
-      return SolveExactResilience(lang, db, semantics, options.exact);
+      return SolveExactResilience(lang, db, semantics, index.get(),
+                                  options.exact);
     case ResilienceMethod::kBruteForce:
       return SolveBruteForceResilience(lang, db, semantics);
     case ResilienceMethod::kAuto:
@@ -194,11 +196,12 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
                             Semantics semantics,
                             const ResilienceResult& result, NodeId source,
                             NodeId target) {
-  auto holds = [&](const std::vector<bool>* removed) {
-    return source < 0
-               ? EvaluatesToTrue(db, lang.enfa(), removed)
-               : EvaluatesToTrueBetween(db, lang.enfa(), source, target,
-                                        removed);
+  // One automaton and one index serve every check below.
+  const ProductAutomaton automaton = PrepareProductAutomaton(lang.enfa());
+  const LabelIndex index(db);
+  auto holds = [&](const std::vector<uint8_t>& removed) {
+    return SearchProduct(db, index, automaton, removed.data(), source, target,
+                         SolverScratch::ThreadLocal());
   };
   // Resilience is +∞ iff ε ∈ L (for fixed endpoints: and they coincide),
   // or the query survives deleting every endogenous fact (a
@@ -206,11 +209,11 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
   bool unfalsifiable =
       lang.ContainsEpsilon() && (source < 0 || source == target);
   if (!unfalsifiable && db.NumExogenous() > 0) {
-    std::vector<bool> endogenous_removed(db.num_facts(), false);
+    std::vector<uint8_t> endogenous_removed(db.num_facts(), 0);
     for (FactId f = 0; f < db.num_facts(); ++f) {
-      endogenous_removed[f] = !db.IsExogenous(f);
+      endogenous_removed[f] = db.IsExogenous(f) ? 0 : 1;
     }
-    unfalsifiable = holds(&endogenous_removed);
+    unfalsifiable = holds(endogenous_removed);
   }
   if (result.infinite != unfalsifiable) {
     return Status::Internal(
@@ -221,7 +224,7 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
   if (result.infinite) return Status::OK();
 
   Capacity cost = 0;
-  std::vector<bool> removed(db.num_facts(), false);
+  std::vector<uint8_t> removed(db.num_facts(), 0);
   for (FactId f : result.contingency) {
     if (f < 0 || f >= db.num_facts()) {
       return Status::Internal("contingency contains invalid fact id " +
@@ -239,7 +242,7 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
       return Status::Internal("contingency contains exogenous fact id " +
                               std::to_string(f));
     }
-    removed[f] = true;
+    removed[f] = 1;
     cost += db.Cost(f, semantics);
   }
   if (cost != result.value) {
@@ -247,7 +250,7 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
                             " != reported value " +
                             std::to_string(result.value));
   }
-  if (holds(&removed)) {
+  if (holds(removed)) {
     return Status::Internal(
         "query still holds after removing the contingency set");
   }

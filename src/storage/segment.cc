@@ -50,6 +50,9 @@ enum SectionKind : uint32_t {
   kFacts = 4,            // num_facts * 12-byte Fact records
   kMultiplicities = 5,   // num_facts * i64
   kExogenous = 6,        // num_facts * u8 (0/1)
+  // Per-node CSR of all facts (7-10): kept for format v1 only. The writer
+  // fills them and the reader checks their sizes and checksums, but maps
+  // nothing from them; a LabelIndex is the one fact adjacency.
   kOutOffset = 7,        // (num_nodes + 1) * i32 CSR offsets
   kOutAdj = 8,           // num_facts * i32
   kInOffset = 9,         // (num_nodes + 1) * i32
@@ -186,25 +189,24 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
     }
   }
   {
-    std::vector<uint8_t>* out_off = section(kOutOffset);
-    std::vector<uint8_t>* out_adj = section(kOutAdj);
-    std::vector<uint8_t>* in_off = section(kInOffset);
-    std::vector<uint8_t>* in_adj = section(kInAdj);
-    int32_t out_at = 0, in_at = 0;
-    PutI32(out_off, 0);
-    PutI32(in_off, 0);
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      for (FactId f : db.OutFactsLive(v)) {
-        PutI32(out_adj, f);
-        ++out_at;
+    // The per-node CSR sections of format v1: every fact id by source and
+    // by target node, ascending within a node. No reader maps them; they
+    // are written so the format stays what v1 readers expect.
+    auto put_csr = [&](SectionKind offset_kind, SectionKind adj_kind,
+                       NodeId Fact::*endpoint) {
+      std::vector<int32_t> offset(num_nodes + 1, 0);
+      for (FactId f = 0; f < num_facts; ++f) ++offset[db.fact(f).*endpoint + 1];
+      for (NodeId v = 0; v < num_nodes; ++v) offset[v + 1] += offset[v];
+      std::vector<FactId> adj(num_facts);
+      std::vector<int32_t> cursor(offset.begin(), offset.end() - 1);
+      for (FactId f = 0; f < num_facts; ++f) {
+        adj[cursor[db.fact(f).*endpoint]++] = f;
       }
-      PutI32(out_off, out_at);
-      for (FactId f : db.InFactsLive(v)) {
-        PutI32(in_adj, f);
-        ++in_at;
-      }
-      PutI32(in_off, in_at);
-    }
+      PutI32s(section(offset_kind), offset);
+      PutI32s(section(adj_kind), adj);
+    };
+    put_csr(kOutOffset, kOutAdj, &Fact::source);
+    put_csr(kInOffset, kInAdj, &Fact::target);
   }
   {
     // FindFact on a mapped database binary-searches this permutation.
@@ -528,13 +530,6 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
   storage->multiplicities = reinterpret_cast<const Capacity*>(
       base + sec(kMultiplicities).offset);
   storage->exogenous = base + sec(kExogenous).offset;
-  storage->out_offset =
-      reinterpret_cast<const int32_t*>(base + sec(kOutOffset).offset);
-  storage->out_adj =
-      reinterpret_cast<const FactId*>(base + sec(kOutAdj).offset);
-  storage->in_offset =
-      reinterpret_cast<const int32_t*>(base + sec(kInOffset).offset);
-  storage->in_adj = reinterpret_cast<const FactId*>(base + sec(kInAdj).offset);
   storage->sorted_by_key =
       reinterpret_cast<const FactId*>(base + sec(kSortedByKey).offset);
   storage->num_facts = static_cast<int32_t>(num_facts);

@@ -4,7 +4,10 @@
 // name dictionary, dense fact arrays, and the per-(label, node) CSR
 // spans of its LabelIndex — in exactly the little-endian layouts the
 // in-memory flat structures use, in the spirit of RDF-3X's paged fact /
-// dictionary segments. Because the byte layout matches the memory
+// dictionary segments. Format v1 also carries a per-node CSR of all
+// facts (by source and by target); it is kept for the format only —
+// written, size- and checksum-validated, never mapped — and can go with
+// a format version that still restores v1 files. Because the byte layout matches the memory
 // layout, SegmentReader can mmap the file and hand the arrays to
 // GraphDb::FromMappedFlat / LabelIndex::FromMapped with zero parse and
 // no copy of the fact arrays; only the node-name dictionary is

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "gadgets/hypergraph.h"
 #include "graphdb/generators.h"
+#include "graphdb/graph_db.h"
 #include "lang/language.h"
+#include "resilience/exact.h"
 
 namespace rpqres {
 namespace {
@@ -55,6 +61,44 @@ TEST(HypergraphOfMatchesTest, InfiniteLanguageOnCycleRejected) {
       HypergraphOfMatches(Language::MustFromRegexString("ax*b"), db);
   EXPECT_FALSE(h.ok());
   EXPECT_EQ(h.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// The cycle test reads live facts only: on an overlay whose one cycle
+// closes through a tombstoned fact, ax*b has finitely many walks, and
+// the hitting-set solve agrees with the branch & bound.
+TEST(HypergraphOfMatchesTest, InfiniteLanguageOnOverlayWithDeadCycle) {
+  GraphDb flat;
+  NodeId s = flat.AddNode("s"), u = flat.AddNode("u"), v = flat.AddNode("v"),
+         t = flat.AddNode("t");
+  flat.AddFact(s, 'a', u);  // 0
+  flat.AddFact(u, 'x', v);  // 1
+  flat.AddFact(v, 'x', u);  // 2: closes the only cycle
+  flat.AddFact(v, 'b', t);  // 3
+  auto base = std::make_shared<const GraphDb>(std::move(flat));
+  const Language lang = Language::MustFromRegexString("ax*b");
+
+  GraphDb live = GraphDb::MakeOverlay(base);
+  live.AddFact(u, 'b', t);  // 4
+  Result<Hypergraph> cyclic = HypergraphOfMatches(lang, live);
+  ASSERT_FALSE(cyclic.ok());
+  EXPECT_EQ(cyclic.status().code(), StatusCode::kFailedPrecondition);
+
+  GraphDb overlay = GraphDb::MakeOverlay(base);
+  overlay.AddFact(u, 'b', t);  // 4
+  ASSERT_TRUE(overlay.RemoveFact(v, 'x', u).ok());
+  Result<Hypergraph> h = HypergraphOfMatches(lang, overlay);
+  ASSERT_TRUE(h.ok()) << h.status();
+  EXPECT_EQ(h->edges, (std::vector<std::vector<int>>{{0, 1, 3}, {0, 4}}));
+  for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
+    Result<ResilienceResult> hitting =
+        SolveHittingSetResilience(lang, overlay, semantics);
+    Result<ResilienceResult> exact =
+        SolveExactResilience(lang, overlay, semantics);
+    ASSERT_TRUE(hitting.ok()) << hitting.status();
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    EXPECT_EQ(hitting->value, exact->value);
+    EXPECT_EQ(hitting->value, 1);
+  }
 }
 
 TEST(HypergraphOfMatchesTest, FiniteLanguageOnCycleOk) {

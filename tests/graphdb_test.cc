@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
 #include "mirror_db.h"
@@ -13,10 +17,8 @@
 namespace rpqres {
 namespace {
 
-std::vector<FactId> Collect(GraphDb::IncidentFacts facts) {
-  std::vector<FactId> out;
-  for (FactId f : facts) out.push_back(f);
-  return out;
+std::vector<FactId> ToVector(std::span<const FactId> facts) {
+  return std::vector<FactId>(facts.begin(), facts.end());
 }
 
 TEST(GraphDbTest, NodesAndFacts) {
@@ -60,8 +62,11 @@ TEST(GraphDbTest, AdjacencyAndLabels) {
   FactId f1 = db.AddFact(u, 'a', v);
   FactId f2 = db.AddFact(u, 'b', w);
   FactId f3 = db.AddFact(v, 'a', w);
-  EXPECT_EQ(Collect(db.OutFactsLive(u)), (std::vector<FactId>{f1, f2}));
-  EXPECT_EQ(Collect(db.InFactsLive(w)), (std::vector<FactId>{f2, f3}));
+  LabelIndex index(db);
+  EXPECT_EQ(ToVector(index.FactsFrom('a', u)), (std::vector<FactId>{f1}));
+  EXPECT_EQ(ToVector(index.FactsFrom('b', u)), (std::vector<FactId>{f2}));
+  EXPECT_EQ(ToVector(index.FactsInto('a', w)), (std::vector<FactId>{f3}));
+  EXPECT_EQ(ToVector(index.FactsInto('b', w)), (std::vector<FactId>{f2}));
   EXPECT_EQ(db.Labels(), (std::vector<char>{'a', 'b'}));
   EXPECT_EQ(db.TotalCost(Semantics::kSet), 3);
 }

@@ -24,12 +24,6 @@
 namespace rpqres {
 namespace {
 
-std::vector<FactId> Collect(GraphDb::IncidentFacts view) {
-  std::vector<FactId> out;
-  for (FactId f : view) out.push_back(f);
-  return out;
-}
-
 std::vector<FactId> ToVector(std::span<const FactId> facts) {
   return std::vector<FactId>(facts.begin(), facts.end());
 }
@@ -51,8 +45,11 @@ TEST(GraphDbOverlayTest, FlatDatabasesAreAllLive) {
   EXPECT_EQ(db.num_live_facts(), 3);
   EXPECT_EQ(db.overlay_size(), 0);
   for (FactId f = 0; f < db.num_facts(); ++f) EXPECT_TRUE(db.IsLive(f));
-  EXPECT_EQ(Collect(db.OutFactsLive(0)), (std::vector<FactId>{0, 2}));
-  EXPECT_EQ(Collect(db.InFactsLive(2)), (std::vector<FactId>{1, 2}));
+  LabelIndex index(db);
+  EXPECT_EQ(ToVector(index.FactsFrom('a', 0)), (std::vector<FactId>{0}));
+  EXPECT_EQ(ToVector(index.FactsFrom('b', 0)), (std::vector<FactId>{2}));
+  EXPECT_EQ(ToVector(index.FactsInto('x', 2)), (std::vector<FactId>{1}));
+  EXPECT_EQ(ToVector(index.FactsInto('b', 2)), (std::vector<FactId>{2}));
 }
 
 TEST(GraphDbOverlayTest, OverlaySharesBaseAndAppends) {
@@ -72,9 +69,11 @@ TEST(GraphDbOverlayTest, OverlaySharesBaseAndAppends) {
   // Base reads go through unchanged.
   EXPECT_EQ(overlay.fact(1).label, 'x');
   EXPECT_EQ(overlay.multiplicity(1), 3);
-  // Views chain base and overlay facts.
-  EXPECT_EQ(Collect(overlay.OutFactsLive(2)), (std::vector<FactId>{3}));
-  EXPECT_EQ(Collect(overlay.InFactsLive(3)), (std::vector<FactId>{3}));
+  // An index over the overlay sees base and overlay facts.
+  LabelIndex index(overlay);
+  EXPECT_EQ(ToVector(index.FactsFrom('a', 2)), (std::vector<FactId>{3}));
+  EXPECT_EQ(ToVector(index.FactsInto('a', 3)), (std::vector<FactId>{3}));
+  EXPECT_EQ(ToVector(index.FactsFrom('a', 0)), (std::vector<FactId>{0}));
   // The base itself is untouched.
   EXPECT_EQ(base->num_facts(), 3);
   EXPECT_EQ(base->num_nodes(), 3);
@@ -88,7 +87,11 @@ TEST(GraphDbOverlayTest, RemoveFactTombstonesWithoutRenumbering) {
   EXPECT_EQ(overlay.num_live_facts(), 2);
   EXPECT_FALSE(overlay.IsLive(0));
   EXPECT_EQ(overlay.FindFact(0, 'a', 1), -1);
-  EXPECT_EQ(Collect(overlay.OutFactsLive(0)), (std::vector<FactId>{2}));
+  {
+    LabelIndex index(overlay);
+    EXPECT_TRUE(index.FactsFrom('a', 0).empty());
+    EXPECT_EQ(ToVector(index.FactsFrom('b', 0)), (std::vector<FactId>{2}));
+  }
   // Removing it again: NotFound.
   EXPECT_EQ(overlay.RemoveFact(0, 'a', 1).code(), StatusCode::kNotFound);
   // Removing an overlay-added fact works too.
@@ -149,6 +152,13 @@ TEST(GraphDbOverlayTest, CompactRenumbersLiveFactsInOrder) {
   GraphDb overlay = GraphDb::MakeOverlay(base);
   ASSERT_TRUE(overlay.RemoveFact(0, 'a', 1).ok());
   overlay.AddFact(2, 'c', 0, 2);
+  // A node whose only fact is tombstoned (the removal also grows the
+  // tombstone bitmap past the ids of the first one).
+  NodeId t = overlay.AddNode("t");
+  FactId dead = overlay.AddFact(t, 'd', 2);
+  ASSERT_TRUE(overlay.RemoveFact(t, 'd', 2).ok());
+  EXPECT_FALSE(overlay.IsLive(dead));
+  EXPECT_TRUE(overlay.IsLive(3));
   std::vector<FactId> old_id_of;
   GraphDb flat = overlay.Compact(&old_id_of);
   EXPECT_FALSE(flat.is_versioned());
@@ -158,6 +168,8 @@ TEST(GraphDbOverlayTest, CompactRenumbersLiveFactsInOrder) {
   EXPECT_EQ(flat.fact(2).label, 'c');
   EXPECT_EQ(flat.multiplicity(2), 2);
   EXPECT_EQ(flat.num_nodes(), overlay.num_nodes());
+  EXPECT_NE(SerializeGraphDb(overlay).find("\nnode t\n"), std::string::npos);
+  EXPECT_NE(SerializeGraphDb(flat).find("\nnode t\n"), std::string::npos);
   EXPECT_EQ(SerializeGraphDb(flat), SerializeGraphDb(overlay));
 }
 

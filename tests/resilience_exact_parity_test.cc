@@ -203,7 +203,8 @@ TEST(CapacityBoundTest, BagSolvesRefuseOverflowingMultiplicities) {
     EXPECT_EQ(set->value, set_value);
   }
   ExactPlan plan = PrepareExactPlan(Language::MustFromRegexString("ab|bc|ca"));
-  EXPECT_EQ(SolveExactResilienceWithPlan(plan, *db, Semantics::kBag)
+  EXPECT_EQ(SolveExactResilienceWithPlan(plan, *db, Semantics::kBag,
+                                         LabelIndex(*db))
                 .status()
                 .code(),
             StatusCode::kOutOfRange);

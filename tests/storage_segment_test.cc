@@ -50,12 +50,6 @@ std::vector<FactId> ToVector(std::span<const FactId> span) {
   return std::vector<FactId>(span.begin(), span.end());
 }
 
-std::vector<FactId> Collect(GraphDb::IncidentFacts facts) {
-  std::vector<FactId> out;
-  for (FactId f : facts) out.push_back(f);
-  return out;
-}
-
 TEST(SegmentTest, RoundTripsDbAndIndex) {
   const std::string path = TempPath("seg_roundtrip");
   GraphDb db = SampleDb();
@@ -80,11 +74,18 @@ TEST(SegmentTest, RoundTripsDbAndIndex) {
   // Content equality, down to node names and multiplicities.
   EXPECT_EQ(SerializeGraphDb(loaded->db), SerializeGraphDb(db));
   ASSERT_EQ(loaded->db.num_nodes(), db.num_nodes());
+  // An index built over the mapped fact arrays has the same per-node facts.
+  const LabelIndex mapped_index(loaded->db);
+  const LabelIndex heap_index(db);
+  ASSERT_EQ(mapped_index.labels(), heap_index.labels());
   for (NodeId v = 0; v < db.num_nodes(); ++v) {
     EXPECT_EQ(loaded->db.node_name(v), db.node_name(v));
-    EXPECT_EQ(Collect(loaded->db.OutFactsLive(v)),
-              Collect(db.OutFactsLive(v)));
-    EXPECT_EQ(Collect(loaded->db.InFactsLive(v)), Collect(db.InFactsLive(v)));
+    for (char label : heap_index.labels()) {
+      EXPECT_EQ(ToVector(mapped_index.FactsFrom(label, v)),
+                ToVector(heap_index.FactsFrom(label, v)));
+      EXPECT_EQ(ToVector(mapped_index.FactsInto(label, v)),
+                ToVector(heap_index.FactsInto(label, v)));
+    }
   }
   ASSERT_EQ(loaded->db.num_facts(), db.num_facts());
   for (FactId f = 0; f < db.num_facts(); ++f) {
