@@ -30,6 +30,13 @@ about, enforced over the source tree:
       (`label_index == nullptr`, `index_ != nullptr`, ...) would bring
       back a second, unindexed solver path.
 
+  one-counter-source
+      In src/, every event is counted once, in an obs::MetricsRegistry
+      family, and Stats structs are views read from a snapshot. A
+      hand-kept `stats_` member that is mutated (`++stats_.x`,
+      `--stats_.x`, `stats_.x += n`, `stats_.x = n`, `stats_ = Stats{}`)
+      is a second counter store beside the families.
+
 Suppressions: a violating line is waived by `invariant-ok: <reason>`
 (optionally `invariant-ok(<rule>): <reason>`) in a comment on the same
 line or the line directly above. The reason is mandatory — an empty
@@ -73,6 +80,12 @@ SOLVER_FACT_ACCESS_RES = [
      "null check on a label index"),
 ]
 
+# A mutation of a hand-kept `stats_` member (see one-counter-source).
+STATS_MUTATION_RE = re.compile(
+    r"(?:\+\+|--)\s*stats_\.|"
+    r"\bstats_\.\w+\s*(?:\+\+|--|[-+*]?=(?!=))|"
+    r"\bstats_\s*=(?!=)")
+
 
 class Finding:
     def __init__(self, rule: str, path: str, line_no: int, message: str):
@@ -114,6 +127,7 @@ def scan_file(rel_path: str, text: str):
     in_storage = rel_path.startswith("src/storage/")
     in_workload = rel_path.startswith("src/workload/")
     in_resilience = rel_path.startswith("src/resilience/")
+    in_src = rel_path.startswith("src/")
     is_annotation_header = rel_path.endswith("util/thread_annotations.h")
 
     def check(idx: int, rule: str, message: str):
@@ -149,6 +163,11 @@ def scan_file(rel_path: str, text: str):
                           f"{what} in a solver — read facts through the "
                           "LabelIndex (LabelIndex::Facts / FactsFrom / "
                           "FactsInto)")
+        if in_src and STATS_MUTATION_RE.search(line):
+            check(idx, "one-counter-source",
+                  "hand-kept stats_ counter — count the event in a metric "
+                  "family and read the Stats struct from a snapshot "
+                  "(obs::ReadSampleFields)")
         if TSA_OPTOUT in line and not is_annotation_header:
             # The opt-out demands a justification comment on its line or
             # the one above; reuse the suppression mechanism for that.
@@ -250,6 +269,38 @@ SELF_TEST_CASES = [
         # The same scans are fine outside the solvers.
         "src/graphdb/rpq_eval.cc",
         "for (FactId f : db.OutFactsLive(v)) visit(f);\n",
+        [],
+    ),
+    (
+        "src/engine/bad_counters.cc",
+        "  ++stats_.hits;\n"
+        "  --stats_.commits;\n"
+        "  stats_.unregistered += dropped;\n"
+        "  stats_ = Stats{};\n"
+        "  stats_.misses++;\n",
+        [
+            ("one-counter-source", 1),
+            ("one-counter-source", 2),
+            ("one-counter-source", 3),
+            ("one-counter-source", 4),
+            ("one-counter-source", 5),
+        ],
+    ),
+    (
+        # Reading a stats_ member, comparing it, or a view computed from a
+        # snapshot is fine; so is a member whose name merely ends in stats_.
+        "src/engine/good_counters.cc",
+        "  return stats_;\n"
+        "  if (stats_.hits == 0) return;\n"
+        "  Stats stats = ReadSampleFields<Stats>(snapshot, kFields);\n"
+        "  ++response.stats.search_nodes;\n"
+        "  ++scratch_stats_.pops;\n",
+        [],
+    ),
+    (
+        # The rule covers src/ only.
+        "tests/fake_counter_test.cc",
+        "  ++stats_.hits;\n",
         [],
     ),
     (

@@ -4,12 +4,34 @@
 #include <charconv>
 #include <chrono>
 #include <filesystem>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "storage/segment.h"
 
 namespace rpqres {
+
+namespace {
+
+constexpr std::string_view kRegistryEvents = "rpqres_registry_events_total";
+constexpr std::string_view kStorageFaults = "rpqres_storage_faults_total";
+
+/// Where each Stats counter is read from. The {event} labels are created
+/// with the registry, so they export (as 0) before their first event.
+constexpr obs::SampleField<DbRegistry::Stats> kRegistryFields[] = {
+    {kRegistryEvents, "registered", &DbRegistry::Stats::registered},
+    {kRegistryEvents, "unregistered", &DbRegistry::Stats::unregistered},
+    {kRegistryEvents, "commit", &DbRegistry::Stats::commits},
+    {kRegistryEvents, "commit_conflict", &DbRegistry::Stats::commit_conflicts},
+    {kRegistryEvents, "compaction", &DbRegistry::Stats::compactions},
+    {kRegistryEvents, "commit_unavailable",
+     &DbRegistry::Stats::commits_unavailable},
+    {kRegistryEvents, "storage_retry", &DbRegistry::Stats::storage_retries},
+    {kStorageFaults, "", &DbRegistry::Stats::storage_faults},
+};
+
+}  // namespace
 
 const char* HealthStateName(HealthState state) {
   switch (state) {
@@ -56,14 +78,10 @@ class RegistryStorage {
     }
   }
 
-  void CountFault(const char* op) { ++fault_counts_[op]; }
-
   std::string dir_;
   /// First write error; commits after it fail with kUnavailable.
   Status first_error_;
   HealthState health_ = HealthState::kHealthy;
-  /// Failed write attempts by operation, for rpqres_storage_faults_total.
-  std::map<std::string, int64_t> fault_counts_;
   /// Leftover *.tmp files the last Restore swept.
   std::vector<std::string> swept_tmp_files_;
   /// Per-lineage open journal writers.
@@ -166,9 +184,20 @@ Result<DbHandle> DeltaBatch::Commit() {
 // DbRegistry
 // ---------------------------------------------------------------------------
 
-DbRegistry::DbRegistry() = default;
+DbRegistry::DbRegistry() : DbRegistry(Options{}) {}
 
-DbRegistry::DbRegistry(Options options) : options_(std::move(options)) {
+DbRegistry::DbRegistry(Options options)
+    : options_(std::move(options)),
+      events_(metrics_.Counter(kRegistryEvents,
+                               "Registry lineage and commit events.",
+                               "event")),
+      storage_faults_(metrics_.Counter(
+          kStorageFaults, "Failed storage write attempts by operation.",
+          "op")),
+      commit_count_(&events_->WithLabel("commit")) {
+  for (const obs::SampleField<Stats>& event : kRegistryFields) {
+    if (event.family == kRegistryEvents) events_->WithLabel(event.label);
+  }
   if (!options_.storage_dir.empty()) {
     storage_ = std::make_unique<RegistryStorage>(options_.storage_dir);
     std::error_code ec;
@@ -205,7 +234,7 @@ Result<DbHandle> DbRegistry::TryRegister(GraphDb db, std::string name) {
   if (!snapshot->name.empty()) {
     lineage_by_name_[snapshot->name] = snapshot->lineage;
   }
-  ++stats_.registered;
+  events_->WithLabel("registered").Increment();
   // A degraded registry is read-only on disk: new lineages serve from
   // memory only (no status channel on Register; health() says why).
   if (storage_ != nullptr && !restoring_ &&
@@ -257,7 +286,7 @@ Result<DbHandle> DbRegistry::CommitDelta(DeltaBatch* batch) {
   // latched cause until the operator replaces the registry.
   if (storage_ != nullptr && batch->record_ops_ &&
       storage_->health_ != HealthState::kHealthy) {
-    ++stats_.commits_unavailable;
+    events_->WithLabel("commit_unavailable").Increment();
     return Status::Unavailable(
         "Commit: registry storage is " +
         std::string(HealthStateName(storage_->health_)) +
@@ -271,7 +300,7 @@ Result<DbHandle> DbRegistry::CommitDelta(DeltaBatch* batch) {
   }
   auto& versions = lineage_it->second.versions;
   if (versions.empty() || versions.rbegin()->first != parent.version) {
-    ++stats_.commit_conflicts;
+    events_->WithLabel("commit_conflict").Increment();
     return Status::Aborted(
         "Commit: lineage " + std::to_string(snapshot->lineage) +
         " advanced past version " + std::to_string(parent.version) +
@@ -284,8 +313,6 @@ Result<DbHandle> DbRegistry::CommitDelta(DeltaBatch* batch) {
   snapshot->version = lineage_it->second.next_version++;
   snapshots_.emplace(snapshot->id, snapshot);
   versions.emplace(snapshot->version, snapshot);
-  ++stats_.commits;
-  if (snapshot->compacted) ++stats_.compactions;
   if (storage_ != nullptr && batch->record_ops_) {
     Status persisted;
     if (snapshot->compacted) {
@@ -304,13 +331,14 @@ Result<DbHandle> DbRegistry::CommitDelta(DeltaBatch* batch) {
       // burned, not recycled (ResultCache keys must never alias).
       snapshots_.erase(snapshot->id);
       versions.erase(snapshot->version);
-      --stats_.commits;
-      if (snapshot->compacted) --stats_.compactions;
-      ++stats_.commits_unavailable;
+      events_->WithLabel("commit_unavailable").Increment();
       return Status::Unavailable("Commit: rolled back, not durable: " +
                                  persisted.ToString());
     }
   }
+  // Counted once published and, for a persistent registry, durable.
+  commit_count_->Increment();
+  if (snapshot->compacted) events_->WithLabel("compaction").Increment();
   return DbHandle(std::move(snapshot));
 }
 
@@ -361,9 +389,8 @@ Status DbRegistry::RetryStorageLocked(const char* op, Fn&& attempt) {
     if (status.ok() || status.code() != StatusCode::kUnavailable) break;
     // Transient (kUnavailable) by contract means a retry rewrites its
     // whole payload, so a later clean attempt is fully durable.
-    storage_->CountFault(op);
-    ++stats_.storage_faults;
-    ++stats_.storage_retries;
+    storage_faults_->WithLabel(op).Increment();
+    events_->WithLabel("storage_retry").Increment();
     if (backoff > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(backoff));
       backoff *= 2;
@@ -371,8 +398,7 @@ Status DbRegistry::RetryStorageLocked(const char* op, Fn&& attempt) {
     status = attempt();
   }
   if (!status.ok()) {
-    storage_->CountFault(op);
-    ++stats_.storage_faults;
+    storage_faults_->WithLabel(op).Increment();
     storage_->Degrade(status);
   }
   return status;
@@ -439,8 +465,7 @@ Status DbRegistry::PersistCommitLocked(
     Status missing = Status::Internal(
         "storage: no journal writer for lineage " +
         std::to_string(snapshot.lineage));
-    storage_->CountFault("journal_append");
-    ++stats_.storage_faults;
+    storage_faults_->WithLabel("journal_append").Increment();
     storage_->Degrade(missing);
     return missing;
   }
@@ -476,8 +501,7 @@ void DbRegistry::PersistDropLocked(uint64_t lineage, uint32_t version,
   if (it == storage_->writers_.end() || !it->second.open()) {
     Status missing = Status::Internal(
         "storage: no journal writer for lineage " + std::to_string(lineage));
-    storage_->CountFault("drop_append");
-    ++stats_.storage_faults;
+    storage_faults_->WithLabel("drop_append").Increment();
     storage_->Degrade(missing);
     return;
   }
@@ -512,7 +536,7 @@ bool DbRegistry::Unregister(uint64_t id) {
       lineage_gone = true;
     }
   }
-  ++stats_.unregistered;
+  events_->WithLabel("unregistered").Increment();
   if (storage_ != nullptr && !restoring_) {
     PersistDropLocked(lineage_id, version, lineage_gone);
   }
@@ -528,7 +552,7 @@ int DbRegistry::UnregisterLineage(uint64_t lineage) {
     snapshots_.erase(snapshot->id);
     ++dropped;
   }
-  stats_.unregistered += dropped;
+  events_->WithLabel("unregistered").Add(dropped);
   auto name_it = lineage_by_name_.find(lineage_it->second.name);
   if (name_it != lineage_by_name_.end() && name_it->second == lineage) {
     lineage_by_name_.erase(name_it);
@@ -647,7 +671,8 @@ size_t DbRegistry::size() const {
 
 DbRegistry::Stats DbRegistry::stats() const {
   MutexLock lock(mu_);
-  return stats_;
+  return obs::ReadSampleFields<Stats>(metrics_.TakeSnapshot(),
+                                      kRegistryFields);
 }
 
 DbRegistry::Gauges DbRegistry::gauges() const {
@@ -683,6 +708,57 @@ DbRegistry::Gauges DbRegistry::gauges() const {
   return gauges;
 }
 
+void DbRegistry::AppendMetrics(obs::MetricsSnapshot* snapshot) const {
+  obs::MetricsSnapshot own = metrics_.TakeSnapshot();
+  for (obs::CounterFamily::Snapshot& family : own.counters) {
+    // The faults family has no cell until a write attempt fails, so a
+    // fault-free deployment's exposition carries no empty family.
+    if (!family.samples.empty()) {
+      snapshot->counters.push_back(std::move(family));
+    }
+  }
+  auto add_gauge = [snapshot](std::string_view name, std::string_view help,
+                              int64_t value) {
+    snapshot->gauges.push_back(obs::GaugeSample{
+        std::string(name), std::string(help), static_cast<double>(value)});
+  };
+  const Gauges g = gauges();
+  add_gauge("rpqres_db_lineages", "Registered database lineages.",
+            g.lineages);
+  add_gauge("rpqres_db_snapshots", "Registered snapshots across all versions.",
+            g.snapshots);
+  add_gauge("rpqres_db_max_version_depth",
+            "Most resident versions in any one lineage.", g.max_version_depth);
+  add_gauge("rpqres_db_nodes", "Nodes across latest versions.", g.nodes);
+  add_gauge("rpqres_db_live_facts", "Live facts across latest versions.",
+            g.live_facts);
+  add_gauge("rpqres_db_dead_facts",
+            "Tombstoned fact ids across latest versions.", g.dead_facts);
+  add_gauge("rpqres_db_overlay_facts",
+            "Copy-on-write overlay adds+tombstones across latest versions.",
+            g.overlay_facts);
+  // Storage gauges only for persistent registries, so a non-persistent
+  // deployment's exposition carries none.
+  if (g.storage_persistent == 0) return;
+  add_gauge("rpqres_db_storage_segment_bytes",
+            "On-disk bytes across lineage base segments.",
+            g.storage_segment_bytes);
+  add_gauge("rpqres_db_storage_journal_records",
+            "Records across live delta journals.", g.storage_journal_records);
+  add_gauge("rpqres_db_storage_journal_bytes",
+            "On-disk bytes across live delta journals.",
+            g.storage_journal_bytes);
+  add_gauge("rpqres_db_storage_replay_micros",
+            "Microseconds the last journal replay (Restore) took.",
+            g.storage_replay_micros);
+  add_gauge("rpqres_db_storage_health",
+            "Storage health (0 healthy, 1 degraded read-only, 2 failed).",
+            g.storage_health);
+  add_gauge("rpqres_db_storage_swept_tmp_files",
+            "Leftover *.tmp files swept by the last Restore.",
+            g.storage_swept_tmp_files);
+}
+
 Status DbRegistry::storage_status() const {
   MutexLock lock(mu_);
   return storage_ != nullptr ? storage_->first_error_ : Status::OK();
@@ -691,16 +767,6 @@ Status DbRegistry::storage_status() const {
 HealthState DbRegistry::health() const {
   MutexLock lock(mu_);
   return storage_ != nullptr ? storage_->health_ : HealthState::kHealthy;
-}
-
-std::vector<std::pair<std::string, int64_t>> DbRegistry::storage_fault_counts()
-    const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<std::string, int64_t>> out;
-  if (storage_ != nullptr) {
-    out.assign(storage_->fault_counts_.begin(), storage_->fault_counts_.end());
-  }
-  return out;
 }
 
 std::vector<std::string> DbRegistry::swept_tmp_files() const {
@@ -950,14 +1016,6 @@ Result<std::unique_ptr<DbRegistry>> DbRegistry::OpenStorage(std::string dir,
   RPQRES_RETURN_IF_ERROR(registry->storage_status());
   RPQRES_RETURN_IF_ERROR(registry->Restore());
   return registry;
-}
-
-std::vector<uint64_t> DbRegistry::ids() const {
-  MutexLock lock(mu_);
-  std::vector<uint64_t> out;
-  out.reserve(snapshots_.size());
-  for (const auto& [id, snapshot] : snapshots_) out.push_back(id);
-  return out;
 }
 
 }  // namespace rpqres

@@ -46,6 +46,7 @@
 #include "fault/failpoints.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
+#include "obs/metrics.h"
 #include "storage/journal.h"
 #include "util/status.h"
 #include "util/sync.h"
@@ -239,13 +240,15 @@ class DbRegistry {
     int64_t storage_retry_backoff_micros = 1000;
   };
 
+  /// Counters since construction, a view computed from the registry's
+  /// metric families (see AppendMetrics).
   struct Stats {
     int64_t registered = 0;    ///< Register calls since construction
     int64_t unregistered = 0;  ///< snapshots dropped (incl. lineage drops)
-    int64_t commits = 0;       ///< successful delta commits
+    int64_t commits = 0;       ///< published (and, if persistent, durable)
     int64_t commit_conflicts = 0;  ///< commits refused with Aborted
     int64_t compactions = 0;   ///< commits that folded their overlay
-    int64_t storage_faults = 0;    ///< failed storage write attempts
+    int64_t storage_faults = 0;    ///< failed storage write attempts, Σ op
     int64_t storage_retries = 0;   ///< transient faults that were retried
     int64_t commits_unavailable = 0;  ///< commits shed/rolled back kUnavailable
   };
@@ -324,13 +327,18 @@ class DbRegistry {
   /// counting unregistered snapshots kept alive by outstanding handles).
   size_t size() const RPQRES_EXCLUDES(mu_);
 
+  /// Read under mu_, which every increment holds, so each field is exact
+  /// with respect to the others.
   Stats stats() const RPQRES_EXCLUDES(mu_);
   Gauges gauges() const RPQRES_EXCLUDES(mu_);
 
-  const Options& options() const { return options_; }
+  /// Appends the registry's counter families (events; storage faults once
+  /// a write attempt has failed) and its gauges (the Gauges fields;
+  /// storage gauges only when persistent) to an engine's snapshot.
+  void AppendMetrics(obs::MetricsSnapshot* snapshot) const
+      RPQRES_EXCLUDES(mu_);
 
-  /// Snapshot ids currently registered, ascending (introspection).
-  std::vector<uint64_t> ids() const RPQRES_EXCLUDES(mu_);
+  const Options& options() const { return options_; }
 
   // --- persistence ----------------------------------------------------------
 
@@ -349,12 +357,6 @@ class DbRegistry {
   /// corruption (kDataLoss). Always kHealthy for non-persistent
   /// registries.
   HealthState health() const RPQRES_EXCLUDES(mu_);
-
-  /// Failed storage write attempts by operation ("segment_write",
-  /// "journal_append", ...), for the rpqres_storage_faults_total counter
-  /// family. Empty for a healthy history.
-  std::vector<std::pair<std::string, int64_t>> storage_fault_counts() const
-      RPQRES_EXCLUDES(mu_);
 
   /// Names of leftover *.tmp files the last Restore swept (an interrupted
   /// segment write whose rename never happened). Surfaced instead of
@@ -414,7 +416,8 @@ class DbRegistry {
                          bool lineage_gone) RPQRES_REQUIRES(mu_);
   /// Runs `attempt`, retrying transient (kUnavailable) failures up to
   /// options_.storage_retry_attempts times with doubling backoff. Counts
-  /// every failed attempt under `op`; degrades health on final failure.
+  /// every failed attempt under `op` in storage_faults_; degrades health
+  /// on final failure.
   template <typename Fn>
   Status RetryStorageLocked(const char* op, Fn&& attempt) RPQRES_REQUIRES(mu_);
 
@@ -432,7 +435,12 @@ class DbRegistry {
   std::map<std::string, uint64_t, std::less<>> lineage_by_name_
       RPQRES_GUARDED_BY(mu_);
   Options options_;
-  Stats stats_ RPQRES_GUARDED_BY(mu_);
+  /// Every registry and storage event is counted once, here, with mu_
+  /// held. Set once in the constructor; a commit resolves no label.
+  obs::MetricsRegistry metrics_;
+  obs::CounterFamily* const events_;          // {event}
+  obs::CounterFamily* const storage_faults_;  // {op}
+  obs::ShardedCounter* const commit_count_;
   /// Non-null iff options_.storage_dir is set. The pointer itself is set
   /// once in the constructor and stable; the pointee's mutable state is
   /// guarded by mu_.

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "flow/solver_scratch.h"
+#include "graphdb/rpq_eval.h"
 #include "obs/export.h"
 #include "resilience/local_resilience.h"
 
@@ -50,15 +51,16 @@ constexpr std::string_view kResultCacheEvents =
     "rpqres_result_cache_events_total";
 constexpr std::string_view kEngineEvents = "rpqres_engine_events_total";
 
-/// The EngineStats field each {event} sample is read into. The labels of
-/// the two registry families are created with the engine, so they export
-/// (as 0) before their first event.
-struct EventField {
-  std::string_view family;
-  std::string_view label;
-  int64_t EngineStats::*field;
-};
-constexpr EventField kEventFields[] = {
+/// Where each EngineStats counter is read from. The {event} labels are
+/// created with the engine, so they export (as 0) before their first
+/// event.
+constexpr obs::SampleField<EngineStats> kEngineFields[] = {
+    {kRequestsTotal, "", &EngineStats::instances_run},
+    {kRequestsTotal, "error", &EngineStats::errors},
+    {kRequestsTotal, "deadline_exceeded", &EngineStats::errors},
+    {kRequestsTotal, "cancelled", &EngineStats::errors},
+    {kRequestsTotal, "deadline_exceeded", &EngineStats::deadline_exceeded},
+    {kRequestsTotal, "cancelled", &EngineStats::cancelled},
     {kPlanCacheEvents, "eviction", &EngineStats::cache_evictions},
     {kPlanCacheEvents, "hit", &EngineStats::cache_hits},
     {kPlanCacheEvents, "miss", &EngineStats::cache_misses},
@@ -94,27 +96,13 @@ std::string_view StatusLabel(const Status& status) {
 
 EngineStats EngineStatsFromSnapshot(const obs::MetricsSnapshot& snapshot,
                                     std::string_view shard) {
-  EngineStats stats;
+  EngineStats stats =
+      obs::ReadSampleFields<EngineStats>(snapshot, kEngineFields, shard);
   for (const obs::CounterFamily::Snapshot& family : snapshot.counters) {
+    if (family.name != kRequestsByAlgorithm) continue;
     for (const obs::CounterFamily::Sample& sample : family.samples) {
-      if (sample.shard != shard) continue;
-      if (family.name == kRequestsTotal) {
-        stats.instances_run += sample.value;
-        if (sample.label != "ok") stats.errors += sample.value;
-        if (sample.label == "deadline_exceeded") {
-          stats.deadline_exceeded = sample.value;
-        }
-        if (sample.label == "cancelled") stats.cancelled = sample.value;
-      } else if (family.name == kRequestsByAlgorithm) {
-        if (sample.value > 0) {
-          stats.instances_by_algorithm[sample.label] = sample.value;
-        }
-      } else {
-        for (const EventField& event : kEventFields) {
-          if (family.name == event.family && sample.label == event.label) {
-            stats.*event.field = sample.value;
-          }
-        }
+      if (sample.shard == shard && sample.value > 0) {
+        stats.instances_by_algorithm[sample.label] = sample.value;
       }
     }
   }
@@ -136,6 +124,15 @@ ResilienceEngine::ResilienceEngine(EngineOptions options)
           "Answered requests by the solver algorithm that produced the "
           "answer.",
           "algorithm")),
+      plan_cache_hit_(&metrics_
+                           .Counter(kPlanCacheEvents,
+                                    "Plan-cache probes and evictions.",
+                                    "event")
+                           ->WithLabel("hit")),
+      plan_cache_miss_(
+          &metrics_.Counter(kPlanCacheEvents, {}, {})->WithLabel("miss")),
+      plan_cache_eviction_(
+          &metrics_.Counter(kPlanCacheEvents, {}, {})->WithLabel("eviction")),
       result_cache_events_(metrics_.Counter(
           kResultCacheEvents,
           "Version-keyed result-cache probes, evictions, and explicit "
@@ -163,8 +160,8 @@ ResilienceEngine::ResilienceEngine(EngineOptions options)
       slow_log_(options.slow_query_log_capacity),
       pool_(options.num_threads > 0 ? options.num_threads
                                     : ThreadPool::DefaultNumThreads()) {
-  for (const EventField& event : kEventFields) {
-    if (event.family != kPlanCacheEvents) {
+  for (const obs::SampleField<EngineStats>& event : kEngineFields) {
+    if (event.family == kResultCacheEvents || event.family == kEngineEvents) {
       metrics_.Counter(event.family, {}, {})->WithLabel(event.label);
     }
   }
@@ -179,16 +176,18 @@ Result<std::shared_ptr<const CompiledQuery>> ResilienceEngine::CompileInternal(
     const std::string& regex, Semantics semantics, bool* was_cache_hit) {
   if (std::shared_ptr<const CompiledQuery> cached =
           cache_.Lookup(regex, semantics)) {
+    plan_cache_hit_->Increment();
     if (was_cache_hit) *was_cache_hit = true;
     return cached;
   }
+  plan_cache_miss_->Increment();
   if (was_cache_hit) *was_cache_hit = false;
   CompileOptions compile_options;
   compile_options.allow_exponential = options_.allow_exponential;
   compile_options.max_word_length = options_.max_word_length;
   RPQRES_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledQuery> compiled,
                           CompileQuery(regex, semantics, compile_options));
-  cache_.Insert(compiled);
+  plan_cache_eviction_->Add(static_cast<int64_t>(cache_.Insert(compiled)));
   engine_events_->WithLabel("compilation").Increment();
   return compiled;
 }
@@ -275,18 +274,10 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateBatch(
   return responses;
 }
 
-namespace {
-
-/// Shared verdict logic; source/target < 0 judges the Boolean query.
-void JudgeDifferentialImpl(const Language& lang, const GraphDb& db,
-                           NodeId source, NodeId target, Semantics semantics,
-                           ResilienceResponse* response) {
-  auto verify = [&](const ResilienceResult& result) {
-    return source < 0
-               ? VerifyResilienceResult(lang, db, semantics, result)
-               : VerifyResilienceResultBetween(lang, db, source, target,
-                                               semantics, result);
-  };
+void JudgeDifferential(const Language& lang, const GraphDb& db,
+                       const LabelIndex& index, Semantics semantics,
+                       ResilienceResponse* response, NodeId source,
+                       NodeId target) {
   if (!response->differential.has_value()) response->differential.emplace();
   ResilienceResponse::Differential& d = *response->differential;
   d.agree = false;
@@ -331,6 +322,12 @@ void JudgeDifferentialImpl(const Language& lang, const GraphDb& db,
                  r.algorithm + ")";
     return;
   }
+  // One automaton and the caller's index serve both witness checks.
+  const ProductAutomaton automaton = PrepareProductAutomaton(lang.enfa());
+  auto verify = [&](const ResilienceResult& result) {
+    return VerifyResilienceImpl(lang, automaton, db, index, semantics, result,
+                                source, target);
+  };
   Status primary_witness = verify(p);
   if (!primary_witness.ok()) {
     d.mismatch = "primary witness invalid (" + p.algorithm + "): " +
@@ -344,21 +341,6 @@ void JudgeDifferentialImpl(const Language& lang, const GraphDb& db,
     return;
   }
   d.agree = true;
-}
-
-}  // namespace
-
-void JudgeDifferential(const Language& lang, const GraphDb& db,
-                       Semantics semantics, ResilienceResponse* response) {
-  JudgeDifferentialImpl(lang, db, /*source=*/-1, /*target=*/-1, semantics,
-                        response);
-}
-
-void JudgeDifferentialBetween(const Language& lang, const GraphDb& db,
-                              NodeId source, NodeId target,
-                              Semantics semantics,
-                              ResilienceResponse* response) {
-  JudgeDifferentialImpl(lang, db, source, target, semantics, response);
 }
 
 void ResilienceEngine::RunReference(const CompiledQuery& query,
@@ -413,8 +395,9 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
     d.reference_stats.algorithm = d.reference_result.algorithm;
     d.reference_stats.search_nodes = d.reference_result.search_nodes;
     auto judge_start = std::chrono::steady_clock::now();
-    JudgeDifferentialBetween(query.language, db, *request.source,
-                             *request.target, query.semantics, response);
+    JudgeDifferential(query.language, db, *request.db.label_index(),
+                      query.semantics, response, *request.source,
+                      *request.target);
     phase_micros_->WithLabel(judge_phase).Record(MicrosSince(judge_start));
     return;
   }
@@ -456,7 +439,8 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
     d.reference_stats.search_nodes = d.reference_result.search_nodes;
   }
   auto judge_start = std::chrono::steady_clock::now();
-  JudgeDifferential(query.language, db, query.semantics, response);
+  JudgeDifferential(query.language, db, *request.db.label_index(),
+                    query.semantics, response);
   phase_micros_->WithLabel(judge_phase).Record(MicrosSince(judge_start));
 }
 
@@ -851,10 +835,7 @@ EngineStats ResilienceEngine::stats() const {
   return EngineStatsFromSnapshot(TakeMetricsSnapshot());
 }
 
-void ResilienceEngine::ResetStats() {
-  cache_.ResetStats();
-  metrics_.Reset();
-}
+void ResilienceEngine::ResetStats() { metrics_.Reset(); }
 
 std::string ResilienceEngine::ExportMetrics(MetricsFormat format,
                                             const DbRegistry* registry) const {
@@ -866,16 +847,6 @@ std::string ResilienceEngine::ExportMetrics(MetricsFormat format,
 obs::MetricsSnapshot ResilienceEngine::TakeMetricsSnapshot(
     const DbRegistry* registry) const {
   obs::MetricsSnapshot snapshot = metrics_.TakeSnapshot();
-  // Plan-cache events come from the cache's own counters, exported after
-  // the two request families (samples sorted by label).
-  const PlanCache::Stats plan = cache_.stats();
-  snapshot.counters.insert(
-      snapshot.counters.begin() + 2,
-      {std::string(kPlanCacheEvents),
-       "Plan-cache probes and evictions.",
-       "event",
-       {{"eviction", plan.evictions}, {"hit", plan.hits}, {"miss", plan.misses}}});
-
   auto add_gauge = [&snapshot](std::string_view name, std::string_view help,
                                double value) {
     snapshot.gauges.push_back(
@@ -892,62 +863,7 @@ obs::MetricsSnapshot ResilienceEngine::TakeMetricsSnapshot(
   add_gauge("rpqres_slow_query_log_entries",
             "Slow-query records currently retained.",
             static_cast<double>(slow_log_.size()));
-  if (registry != nullptr) {
-    const DbRegistry::Gauges g = registry->gauges();
-    add_gauge("rpqres_db_lineages", "Registered database lineages.",
-              static_cast<double>(g.lineages));
-    add_gauge("rpqres_db_snapshots",
-              "Registered snapshots across all versions.",
-              static_cast<double>(g.snapshots));
-    add_gauge("rpqres_db_max_version_depth",
-              "Most resident versions in any one lineage.",
-              static_cast<double>(g.max_version_depth));
-    add_gauge("rpqres_db_nodes", "Nodes across latest versions.",
-              static_cast<double>(g.nodes));
-    add_gauge("rpqres_db_live_facts", "Live facts across latest versions.",
-              static_cast<double>(g.live_facts));
-    add_gauge("rpqres_db_dead_facts",
-              "Tombstoned fact ids across latest versions.",
-              static_cast<double>(g.dead_facts));
-    add_gauge("rpqres_db_overlay_facts",
-              "Copy-on-write overlay adds+tombstones across latest versions.",
-              static_cast<double>(g.overlay_facts));
-    if (g.storage_persistent != 0) {
-      // Exported only for persistent registries, so a non-persistent
-      // deployment's exposition is byte-identical to earlier releases.
-      add_gauge("rpqres_db_storage_segment_bytes",
-                "On-disk bytes across lineage base segments.",
-                static_cast<double>(g.storage_segment_bytes));
-      add_gauge("rpqres_db_storage_journal_records",
-                "Records across live delta journals.",
-                static_cast<double>(g.storage_journal_records));
-      add_gauge("rpqres_db_storage_journal_bytes",
-                "On-disk bytes across live delta journals.",
-                static_cast<double>(g.storage_journal_bytes));
-      add_gauge("rpqres_db_storage_replay_micros",
-                "Microseconds the last journal replay (Restore) took.",
-                static_cast<double>(g.storage_replay_micros));
-      add_gauge("rpqres_db_storage_health",
-                "Storage health (0 healthy, 1 degraded read-only, 2 failed).",
-                static_cast<double>(g.storage_health));
-      add_gauge("rpqres_db_storage_swept_tmp_files",
-                "Leftover *.tmp files swept by the last Restore.",
-                static_cast<double>(g.storage_swept_tmp_files));
-      // Emitted only once a write attempt has failed, so a fault-free
-      // deployment's exposition is unchanged.
-      const auto faults = registry->storage_fault_counts();
-      if (!faults.empty()) {
-        obs::CounterFamily::Snapshot family;
-        family.name = "rpqres_storage_faults_total";
-        family.help = "Failed storage write attempts by operation.";
-        family.label_key = "op";
-        for (const auto& [op, count] : faults) {
-          family.samples.push_back({op, count});
-        }
-        snapshot.counters.push_back(std::move(family));
-      }
-    }
-  }
+  if (registry != nullptr) registry->AppendMetrics(&snapshot);
   return snapshot;
 }
 
@@ -956,7 +872,11 @@ std::vector<obs::SlowQueryRecord> ResilienceEngine::slow_queries() const {
 }
 
 PlanCacheView ResilienceEngine::plan_cache_view() const {
-  return PlanCacheView{cache_.size(), cache_.capacity(), cache_.stats()};
+  const EngineStats engine = stats();
+  return PlanCacheView{
+      cache_.size(),
+      cache_.capacity(),
+      {engine.cache_hits, engine.cache_misses, engine.cache_evictions}};
 }
 
 ResultCacheView ResilienceEngine::result_cache_view() const {

@@ -120,9 +120,15 @@ enum class MetricsFormat {
 /// Read-only plan-cache introspection snapshot (size, capacity, hit/miss
 /// counters) — the engine owns the cache; callers observe, never mutate.
 struct PlanCacheView {
+  /// EngineStats::cache_* under the plan cache's own names.
+  struct Stats {
+    int64_t hits = 0;
+    int64_t misses = 0;
+    int64_t evictions = 0;
+  };
   size_t size = 0;
   size_t capacity = 0;
-  PlanCache::Stats stats;
+  Stats stats;
 };
 
 /// Read-only ResultCache introspection snapshot.
@@ -215,7 +221,7 @@ class ResilienceEngine {
   /// algorithm and result-cache probe it bounds, which a snapshot reads
   /// first (see MetricsRegistry::TakeSnapshot).
   EngineStats stats() const;
-  /// Zeroes the plan-cache counters and every metric family (latency
+  /// Zeroes every metric family (plan-cache events and latency
   /// histograms included). Labels survive at 0. A snapshot that races the
   /// reset may see some families zeroed and others not. The slow-query log
   /// is NOT cleared (it is a log, not a counter); use slow_queries() before
@@ -225,8 +231,9 @@ class ResilienceEngine {
   /// Renders every engine metric — request/solve/phase latency histograms
   /// (p50/p95/p99 in the JSON form), disjoint-status request counters,
   /// cache event counters, and instantaneous gauges (cache entries and
-  /// bytes, slow-log depth, plus DbRegistry lineage/version/fact gauges
-  /// when `registry` is non-null) — in the requested format.
+  /// bytes, slow-log depth), plus the registry's counter families and
+  /// gauges (DbRegistry::AppendMetrics) when `registry` is non-null — in
+  /// the requested format.
   std::string ExportMetrics(MetricsFormat format,
                             const DbRegistry* registry = nullptr) const;
 
@@ -322,12 +329,16 @@ class ResilienceEngine {
   EngineOptions options_;
   PlanCache cache_;
   ResultCache result_cache_;
-  /// Every engine event but the plan cache's is counted once, here. The
-  /// pointers below are stable (MetricsRegistry owns them) and set once in
-  /// the constructor, which creates the bounding requests_total_ first.
+  /// Every engine event is counted once, here. The pointers below are
+  /// stable (MetricsRegistry owns them) and set once in the constructor,
+  /// which creates the bounding requests_total_ first.
   obs::MetricsRegistry metrics_;
   obs::CounterFamily* requests_total_ = nullptr;        // {status}
   obs::CounterFamily* requests_by_algorithm_ = nullptr; // {algorithm}
+  // rpqres_plan_cache_events_total cells, so a lookup resolves no label.
+  obs::ShardedCounter* plan_cache_hit_ = nullptr;
+  obs::ShardedCounter* plan_cache_miss_ = nullptr;
+  obs::ShardedCounter* plan_cache_eviction_ = nullptr;
   obs::CounterFamily* result_cache_events_ = nullptr;   // {event}
   obs::CounterFamily* engine_events_ = nullptr;         // {event}
   obs::HistogramFamily* request_latency_ = nullptr;     // {status}, micros

@@ -4,9 +4,8 @@
 // wall time, flow-network size) in its response's InstanceStats, so
 // benchmark harnesses and operators can see where time goes without
 // instrumenting solvers themselves. Aggregates have one source: each
-// event is counted once, in the engine's metric families (plan-cache
-// events in PlanCache::Stats), and EngineStats is computed from a
-// snapshot of those counters, never stored.
+// event is counted once, in the engine's metric families, and
+// EngineStats is computed from a snapshot of them, never stored.
 
 #ifndef RPQRES_ENGINE_ENGINE_STATS_H_
 #define RPQRES_ENGINE_ENGINE_STATS_H_

@@ -10,46 +10,33 @@ std::shared_ptr<const CompiledQuery> PlanCache::Lookup(
     const std::string& regex, Semantics semantics) {
   MutexLock lock(mu_);
   auto it = index_.find(Key{regex, semantics});
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
+  if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);  // move to front
   return it->second->second;
 }
 
-void PlanCache::Insert(std::shared_ptr<const CompiledQuery> query) {
+size_t PlanCache::Insert(std::shared_ptr<const CompiledQuery> query) {
   Key key{query->regex, query->semantics};
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second = std::move(query);
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return 0;
   }
   lru_.emplace_front(key, std::move(query));
   index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
+  size_t evicted = 0;
+  for (; lru_.size() > capacity_; ++evicted) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
-    ++stats_.evictions;
   }
+  return evicted;
 }
 
 size_t PlanCache::size() const {
   MutexLock lock(mu_);
   return lru_.size();
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-void PlanCache::ResetStats() {
-  MutexLock lock(mu_);
-  stats_ = Stats{};
 }
 
 }  // namespace rpqres

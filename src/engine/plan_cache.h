@@ -3,11 +3,14 @@
 // Keyed by (regex text, semantics). The cache stores
 // shared_ptr<const CompiledQuery>, so an evicted plan stays alive for any
 // instance still executing it; eviction only drops the cache's reference.
+// The cache counts nothing: the engine records hits, misses and evictions
+// in its rpqres_plan_cache_events_total family (PlanCacheView::stats is
+// read from there).
 
 #ifndef RPQRES_ENGINE_PLAN_CACHE_H_
 #define RPQRES_ENGINE_PLAN_CACHE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <list>
 #include <map>
 #include <memory>
@@ -24,32 +27,22 @@ namespace rpqres {
 /// Thread-safe LRU map (regex, semantics) → CompiledQuery.
 class PlanCache {
  public:
-  /// Counters since construction (or the last ResetStats); the engine's
-  /// only record of plan-cache events.
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-  };
-
   /// `capacity` = max resident plans; values < 1 are clamped to 1.
   explicit PlanCache(size_t capacity);
 
-  /// Returns the cached plan and marks it most-recently-used, or nullptr
-  /// (counted as hit/miss respectively).
+  /// Returns the cached plan and marks it most-recently-used, or nullptr.
   std::shared_ptr<const CompiledQuery> Lookup(const std::string& regex,
                                               Semantics semantics)
       RPQRES_EXCLUDES(mu_);
 
   /// Inserts (or replaces) the plan for its own (regex, semantics) key,
-  /// evicting the least-recently-used entry when over capacity.
-  void Insert(std::shared_ptr<const CompiledQuery> query)
+  /// evicting the least-recently-used entries when over capacity; returns
+  /// how many it evicted.
+  size_t Insert(std::shared_ptr<const CompiledQuery> query)
       RPQRES_EXCLUDES(mu_);
 
   size_t size() const RPQRES_EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }
-  Stats stats() const RPQRES_EXCLUDES(mu_);
-  void ResetStats() RPQRES_EXCLUDES(mu_);
 
  private:
   using Key = std::pair<std::string, Semantics>;
@@ -59,7 +52,6 @@ class PlanCache {
   const size_t capacity_;  // immutable after construction
   std::list<Entry> lru_ RPQRES_GUARDED_BY(mu_);  // front = most recently used
   std::map<Key, std::list<Entry>::iterator> index_ RPQRES_GUARDED_BY(mu_);
-  Stats stats_ RPQRES_GUARDED_BY(mu_);
 };
 
 }  // namespace rpqres

@@ -141,20 +141,15 @@ struct ResilienceResponse {
 
 /// Fills `response->differential` (creating it if absent) from the
 /// primary and reference results plus witness verification against
-/// (lang, db, semantics). Both-errored pairs agree iff the status codes
-/// match; budget/deadline exhaustion on either side is inconclusive.
-/// Exposed so the workload oracle's counterexample minimizer can re-judge
-/// shrunken databases outside the engine.
+/// (lang, db, semantics) through `index`, a LabelIndex of `db`. Both-
+/// errored pairs agree iff the status codes match; budget/deadline
+/// exhaustion on either side is inconclusive. Endpoints >= 0 judge the
+/// fixed-endpoint query (VerifyResilienceResultBetween). Exposed so the
+/// workload oracle's minimizer can re-judge shrunken databases.
 void JudgeDifferential(const Language& lang, const GraphDb& db,
-                       Semantics semantics, ResilienceResponse* response);
-
-/// Endpoint-pinned judging for fixed-endpoint requests: identical
-/// verdict logic, but witnesses are verified against the (source, target)
-/// query (VerifyResilienceResultBetween).
-void JudgeDifferentialBetween(const Language& lang, const GraphDb& db,
-                              NodeId source, NodeId target,
-                              Semantics semantics,
-                              ResilienceResponse* response);
+                       const LabelIndex& index, Semantics semantics,
+                       ResilienceResponse* response, NodeId source = -1,
+                       NodeId target = -1);
 
 }  // namespace rpqres
 

@@ -116,56 +116,6 @@ double LatencyHistogram::Snapshot::Quantile(double q) const {
   return bounds.back();
 }
 
-ShardedCounter& CounterFamily::WithLabel(std::string_view label) {
-  {
-    SharedReaderLock lock(mu_);
-    auto it = cells_.find(label);
-    if (it != cells_.end()) return it->second;
-  }
-  SharedMutexLock lock(mu_);
-  return cells_.try_emplace(std::string(label)).first->second;
-}
-
-CounterFamily::Snapshot CounterFamily::TakeSnapshot() const {
-  Snapshot snapshot{name_, help_, label_key_, {}};
-  SharedReaderLock lock(mu_);
-  snapshot.samples.reserve(cells_.size());
-  for (const auto& [label, counter] : cells_) {
-    snapshot.samples.push_back({label, counter.value()});
-  }
-  return snapshot;
-}
-
-void CounterFamily::Reset() {
-  SharedMutexLock lock(mu_);
-  for (auto& [label, counter] : cells_) counter.Reset();
-}
-
-LatencyHistogram& HistogramFamily::WithLabel(std::string_view label) {
-  {
-    SharedReaderLock lock(mu_);
-    auto it = cells_.find(label);
-    if (it != cells_.end()) return it->second;
-  }
-  SharedMutexLock lock(mu_);
-  return cells_.try_emplace(std::string(label)).first->second;
-}
-
-HistogramFamily::Snapshot HistogramFamily::TakeSnapshot() const {
-  Snapshot snapshot{name_, help_, label_key_, {}};
-  SharedReaderLock lock(mu_);
-  snapshot.series.reserve(cells_.size());
-  for (const auto& [label, histogram] : cells_) {
-    snapshot.series.push_back({label, histogram.TakeSnapshot()});
-  }
-  return snapshot;
-}
-
-void HistogramFamily::Reset() {
-  SharedMutexLock lock(mu_);
-  for (auto& [label, histogram] : cells_) histogram.Reset();
-}
-
 CounterFamily* MetricsRegistry::Counter(std::string_view name,
                                         std::string_view help,
                                         std::string_view label_key) {

@@ -12,9 +12,11 @@
 //    (status, algorithm, phase). Lookup by string_view is allocation-free
 //    once a label has been seen (transparent comparator, shared lock);
 //    only the first occurrence of a new label allocates its cell.
+//  * ReadSampleFields — the one reader that computes a stats view from a
+//    snapshot.
 //
-// Nothing here depends on the engine; the engine owns a MetricsRegistry
-// and records into family cells from its serving path.
+// Nothing here depends on the engine; the engine, router and db registry
+// each own a MetricsRegistry and record where their events happen.
 
 #ifndef RPQRES_OBS_METRICS_H_
 #define RPQRES_OBS_METRICS_H_
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,19 +99,65 @@ class LatencyHistogram {
   std::atomic<int64_t> sum_nanos_{0};
 };
 
-/// Counter series keyed by one label ("status", "algorithm", ...).
-/// Cells are created on first use and never removed; references stay
-/// valid for the family's lifetime (std::map nodes are stable).
-class CounterFamily {
+/// Cells of one kind keyed by ONE label value ("status", "algorithm",
+/// ...). Cells are created on first use and never removed; references
+/// stay valid for the family's lifetime (std::map nodes are stable).
+template <typename Cell>
+class LabeledFamily {
  public:
-  CounterFamily(std::string name, std::string help, std::string label_key)
+  LabeledFamily(std::string name, std::string help, std::string label_key)
       : name_(std::move(name)),
         help_(std::move(help)),
         label_key_(std::move(label_key)) {}
 
   /// Returns the cell for `label`, creating it if needed. Allocation-free
   /// for labels already seen.
-  ShardedCounter& WithLabel(std::string_view label) RPQRES_EXCLUDES(mu_);
+  Cell& WithLabel(std::string_view label) RPQRES_EXCLUDES(mu_) {
+    {
+      SharedReaderLock lock(mu_);
+      auto it = cells_.find(label);
+      if (it != cells_.end()) return it->second;
+    }
+    SharedMutexLock lock(mu_);
+    return cells_.try_emplace(std::string(label)).first->second;
+  }
+
+  /// Zeroes every cell; labels survive.
+  void Reset() RPQRES_EXCLUDES(mu_) {
+    SharedMutexLock lock(mu_);
+    for (auto& [label, cell] : cells_) cell.Reset();
+  }
+
+  const std::string& name() const { return name_; }
+
+ protected:
+  /// {label, read(cell)} per cell, sorted by label.
+  template <typename Row, typename Read>
+  std::vector<Row> ReadCells(Read read) const RPQRES_EXCLUDES(mu_) {
+    SharedReaderLock lock(mu_);
+    std::vector<Row> rows;
+    rows.reserve(cells_.size());
+    for (const auto& [label, cell] : cells_) {
+      rows.push_back({label, read(cell)});
+    }
+    return rows;
+  }
+
+  std::string name_;
+  std::string help_;
+  std::string label_key_;
+
+ private:
+  /// Guards the map shape, not the cells — a returned cell reference
+  /// stays valid (map nodes are stable) and records via its own atomics.
+  mutable rpqres::SharedMutex mu_;
+  std::map<std::string, Cell, std::less<>> cells_ RPQRES_GUARDED_BY(mu_);
+};
+
+/// Counter series keyed by one label.
+class CounterFamily : public LabeledFamily<ShardedCounter> {
+ public:
+  using LabeledFamily::LabeledFamily;
 
   struct Sample {
     std::string label;
@@ -124,32 +173,18 @@ class CounterFamily {
     std::string label_key;
     std::vector<Sample> samples;  ///< sorted by label
   };
-  Snapshot TakeSnapshot() const;
-  void Reset();
-
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::string help_;
-  std::string label_key_;
-  /// Guards the map shape, not the cells — a returned cell reference
-  /// stays valid (map nodes are stable) and records via its own atomics.
-  mutable rpqres::SharedMutex mu_;
-  std::map<std::string, ShardedCounter, std::less<>> cells_
-      RPQRES_GUARDED_BY(mu_);
+  Snapshot TakeSnapshot() const {
+    return {name_, help_, label_key_,
+            ReadCells<Sample>([](const ShardedCounter& counter) {
+              return counter.value();
+            })};
+  }
 };
 
-/// Histogram series keyed by one label. Same cell semantics as
-/// CounterFamily.
-class HistogramFamily {
+/// Histogram series keyed by one label.
+class HistogramFamily : public LabeledFamily<LatencyHistogram> {
  public:
-  HistogramFamily(std::string name, std::string help, std::string label_key)
-      : name_(std::move(name)),
-        help_(std::move(help)),
-        label_key_(std::move(label_key)) {}
-
-  LatencyHistogram& WithLabel(std::string_view label) RPQRES_EXCLUDES(mu_);
+  using LabeledFamily::LabeledFamily;
 
   struct Series {
     std::string label;
@@ -164,18 +199,12 @@ class HistogramFamily {
     std::string label_key;
     std::vector<Series> series;  ///< sorted by label
   };
-  Snapshot TakeSnapshot() const;
-  void Reset();
-
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::string help_;
-  std::string label_key_;
-  mutable rpqres::SharedMutex mu_;  ///< guards the map shape, not the cells
-  std::map<std::string, LatencyHistogram, std::less<>> cells_
-      RPQRES_GUARDED_BY(mu_);
+  Snapshot TakeSnapshot() const {
+    return {name_, help_, label_key_,
+            ReadCells<Series>([](const LatencyHistogram& h) {
+              return h.TakeSnapshot();
+            })};
+  }
 };
 
 /// One instantaneous measurement, produced at export time (cache sizes,
@@ -225,6 +254,38 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<HistogramFamily>> histograms_
       RPQRES_GUARDED_BY(mu_);
 };
+
+/// One row of a stats view's read table: the samples of `family` whose
+/// label is `label` are summed into `field`; an empty `label` sums every
+/// sample of the family.
+template <typename View>
+struct SampleField {
+  std::string_view family;
+  std::string_view label;
+  int64_t View::*field;
+};
+
+/// Computes a stats view (EngineStats, RouterStats, DbRegistry::Stats)
+/// from the counter samples of `snapshot` tagged `shard`: "" for one
+/// component's own snapshot, "all" for MergeShardSnapshots' roll-ups.
+template <typename View>
+View ReadSampleFields(const MetricsSnapshot& snapshot,
+                      std::span<const SampleField<View>> fields,
+                      std::string_view shard = {}) {
+  View view{};
+  for (const CounterFamily::Snapshot& family : snapshot.counters) {
+    for (const CounterFamily::Sample& sample : family.samples) {
+      if (sample.shard != shard) continue;
+      for (const SampleField<View>& row : fields) {
+        if (row.family == family.name &&
+            (row.label.empty() || row.label == sample.label)) {
+          view.*row.field += sample.value;
+        }
+      }
+    }
+  }
+  return view;
+}
 
 /// Merges per-shard engine snapshots into one fleet view. Every sample,
 /// series, and gauge of shard i is tagged shard="i"; families with the

@@ -8,7 +8,6 @@ void SlowQueryLog::Push(SlowQueryRecord record) {
   if (capacity_ == 0) return;
   MutexLock lock(mu_);
   record.sequence = next_sequence_++;
-  ++total_recorded_;
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(record));
   } else {
@@ -37,7 +36,7 @@ size_t SlowQueryLog::size() const {
 
 uint64_t SlowQueryLog::total_recorded() const {
   MutexLock lock(mu_);
-  return total_recorded_;
+  return next_sequence_ - 1;  // sequences start at 1
 }
 
 void SlowQueryLog::Clear() {

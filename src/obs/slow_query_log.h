@@ -64,7 +64,6 @@ class SlowQueryLog {
   mutable rpqres::Mutex mu_;
   const size_t capacity_;
   uint64_t next_sequence_ RPQRES_GUARDED_BY(mu_) = 1;
-  uint64_t total_recorded_ RPQRES_GUARDED_BY(mu_) = 0;
   std::vector<SlowQueryRecord> ring_ RPQRES_GUARDED_BY(mu_);
   /// Next overwrite position once the ring is full.
   size_t head_ RPQRES_GUARDED_BY(mu_) = 0;

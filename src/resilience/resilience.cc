@@ -189,16 +189,19 @@ Result<bool> ResilienceAtMost(const Language& lang, const GraphDb& db,
   return result.value <= k;
 }
 
-namespace {
-
-/// Shared verification core; source/target < 0 means the Boolean query.
-Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
+Status VerifyResilienceImpl(const Language& lang,
+                            const ProductAutomaton& automaton,
+                            const GraphDb& db, const LabelIndex& index,
                             Semantics semantics,
                             const ResilienceResult& result, NodeId source,
                             NodeId target) {
-  // One automaton and one index serve every check below.
-  const ProductAutomaton automaton = PrepareProductAutomaton(lang.enfa());
-  const LabelIndex index(db);
+  if ((source >= 0 || target >= 0) &&
+      (source < 0 || source >= db.num_nodes() || target < 0 ||
+       target >= db.num_nodes())) {
+    return Status::InvalidArgument(
+        "fixed endpoints must be nodes of the database");
+  }
+  // The one automaton and index serve every check below.
   auto holds = [&](const std::vector<uint8_t>& removed) {
     return SearchProduct(db, index, automaton, removed.data(), source, target,
                          SolverScratch::ThreadLocal());
@@ -257,25 +260,21 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
   return Status::OK();
 }
 
-}  // namespace
-
 Status VerifyResilienceResult(const Language& lang, const GraphDb& db,
                               Semantics semantics,
                               const ResilienceResult& result) {
-  return VerifyResilienceImpl(lang, db, semantics, result, /*source=*/-1,
-                              /*target=*/-1);
+  return VerifyResilienceImpl(lang, PrepareProductAutomaton(lang.enfa()), db,
+                              LabelIndex(db), semantics, result,
+                              /*source=*/-1, /*target=*/-1);
 }
 
 Status VerifyResilienceResultBetween(const Language& lang, const GraphDb& db,
                                      NodeId source, NodeId target,
                                      Semantics semantics,
                                      const ResilienceResult& result) {
-  if (source < 0 || source >= db.num_nodes() || target < 0 ||
-      target >= db.num_nodes()) {
-    return Status::InvalidArgument(
-        "fixed endpoints must be nodes of the database");
-  }
-  return VerifyResilienceImpl(lang, db, semantics, result, source, target);
+  return VerifyResilienceImpl(lang, PrepareProductAutomaton(lang.enfa()), db,
+                              LabelIndex(db), semantics, result, source,
+                              target);
 }
 
 }  // namespace rpqres

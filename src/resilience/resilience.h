@@ -13,6 +13,7 @@
 #include "automata/enfa.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
+#include "graphdb/rpq_eval.h"
 #include "lang/language.h"
 #include "lang/tractable.h"
 #include "resilience/bcl_resilience.h"
@@ -144,6 +145,16 @@ Status VerifyResilienceResultBetween(const Language& lang, const GraphDb& db,
                                      NodeId source, NodeId target,
                                      Semantics semantics,
                                      const ResilienceResult& result);
+
+/// The check behind both wrappers above, over a prepared
+/// PrepareProductAutomaton(lang.enfa()) and LabelIndex of `db`, which the
+/// wrappers build per call; source/target < 0 checks the Boolean query.
+Status VerifyResilienceImpl(const Language& lang,
+                            const ProductAutomaton& automaton,
+                            const GraphDb& db, const LabelIndex& index,
+                            Semantics semantics,
+                            const ResilienceResult& result, NodeId source,
+                            NodeId target);
 
 }  // namespace rpqres
 

@@ -11,8 +11,37 @@ namespace rpqres::serve {
 
 namespace {
 
-std::string_view ShedStatusLabel(const Status& status) {
+constexpr std::string_view kAdmissionTotal = "rpqres_router_admission_total";
+constexpr std::string_view kCommitsTotal = "rpqres_router_commits_total";
+constexpr std::string_view kCompletions = "rpqres_router_completions_total";
+
+/// Where each RouterStats counter is read from (AdmissionDecisionName).
+constexpr obs::SampleField<RouterStats> kRouterFields[] = {
+    {kAdmissionTotal, "", &RouterStats::submitted},
+    {kAdmissionTotal, "admitted", &RouterStats::admitted},
+    {kAdmissionTotal, "shed_deadline_expired",
+     &RouterStats::shed_deadline_expired},
+    {kAdmissionTotal, "shed_deadline_unmeetable",
+     &RouterStats::shed_deadline_unmeetable},
+    {kAdmissionTotal, "shed_shard_saturated",
+     &RouterStats::shed_shard_saturated},
+    {kAdmissionTotal, "shed_tenant_cap", &RouterStats::shed_tenant_cap},
+    {kAdmissionTotal, "shed_shard_unavailable",
+     &RouterStats::shed_shard_unavailable},
+    {kCompletions, "", &RouterStats::completed},
+    {kCommitsTotal, "", &RouterStats::commits_submitted},
+    {kCommitsTotal, "applied", &RouterStats::commits_applied},
+    {kCommitsTotal, "unavailable", &RouterStats::commits_unavailable},
+    {kCommitsTotal, "shed", &RouterStats::commits_shed},
+    {kCommitsTotal, "error", &RouterStats::commits_error},
+};
+
+std::string_view StatusLabel(const Status& status) {
   switch (status.code()) {
+    case StatusCode::kOk:
+      return "ok";
+    case StatusCode::kCancelled:
+      return "cancelled";
     case StatusCode::kDeadlineExceeded:
       return "deadline_exceeded";
     case StatusCode::kResourceExhausted:
@@ -31,14 +60,26 @@ int ThreadsPerShard(const ShardedRegistry& shards) {
 
 }  // namespace
 
+RouterStats RouterStatsFromSnapshot(const obs::MetricsSnapshot& snapshot) {
+  return obs::ReadSampleFields<RouterStats>(snapshot, kRouterFields);
+}
+
 Router::Router(ShardedRegistry* shards, RouterOptions options)
     : shards_(shards),
       options_(options),
       admission_(shards->num_shards(), ThreadsPerShard(*shards),
                  options.admission),
       admission_total_(metrics_.Counter(
-          "rpqres_router_admission_total",
-          "Admission decisions by outcome (admitted / shed_*)", "decision")),
+          kAdmissionTotal,
+          "Read admission decisions by outcome (admitted / shed_*)",
+          "decision")),
+      commits_total_(metrics_.Counter(
+          kCommitsTotal,
+          "Commits by outcome (applied / unavailable / shed / error)",
+          "outcome")),
+      completions_(metrics_.Counter(
+          kCompletions, "Admitted reads whose engine run finished, by status",
+          "status")),
       tenant_requests_(metrics_.Counter("rpqres_router_tenant_requests_total",
                                         "Requests submitted per tenant",
                                         "tenant")),
@@ -67,10 +108,6 @@ std::future<ResilienceResponse> Router::Submit(ServeRequest serve) {
     // whatever registry the caller set cannot know the placement.
     request.registry = &shards_->registry(shard);
   }
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.submitted;
-  }
   tenant_requests_->WithLabel(serve.tenant).Increment();
 
   obs::TraceContext trace;
@@ -90,32 +127,20 @@ std::future<ResilienceResponse> Router::Submit(ServeRequest serve) {
 
   if (decision != AdmissionDecision::kAdmitted) {
     const Status status = AdmissionStatus(decision, shard);
-    {
-      MutexLock lock(stats_mu_);
-      switch (decision) {
-        case AdmissionDecision::kShedDeadlineExpired:
-          ++stats_.shed_deadline_expired;
-          break;
-        case AdmissionDecision::kShedDeadlineUnmeetable:
-          ++stats_.shed_deadline_unmeetable;
-          break;
-        case AdmissionDecision::kShedShardSaturated:
-          ++stats_.shed_shard_saturated;
-          break;
-        case AdmissionDecision::kShedTenantCap:
-          ++stats_.shed_tenant_cap;
-          break;
-        case AdmissionDecision::kShedShardUnavailable:
-          ++stats_.shed_shard_unavailable;
-          break;
-        case AdmissionDecision::kAdmitted:
-          break;
-      }
-    }
     tenant_sheds_->WithLabel(serve.tenant).Increment();
-    const int64_t admission_micros =
+    obs::SlowQueryRecord record;
+    const bool precompiled = request.query != nullptr;
+    record.regex = precompiled ? request.query->regex : request.regex;
+    record.semantics =
+        (precompiled ? request.query->semantics : request.semantics) ==
+                Semantics::kBag
+            ? "bag"
+            : "set";
+    record.total_micros =
         trace.size() > 0 ? trace.spans()[0].duration_ns / 1000 : 0;
-    RecordShed(decision, serve, status, admission_micros, trace);
+    record.spans_dropped = trace.dropped();
+    record.spans.assign(trace.spans(), trace.spans() + trace.size());
+    RecordShed(decision, status, std::move(record));
 
     ResilienceResponse response;
     response.status = status;
@@ -124,31 +149,21 @@ std::future<ResilienceResponse> Router::Submit(ServeRequest serve) {
     return promise.get_future();
   }
 
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.admitted;
-  }
-  inflight_.fetch_add(1);
   const auto start = std::chrono::steady_clock::now();
   return shards_->engine(shard).Submit(
       std::move(request),
       [this, ticket, start, tenant = std::move(serve.tenant)](
           const ResilienceResponse& response) {
-        (void)response;
         const double micros =
             std::chrono::duration<double, std::micro>(
                 std::chrono::steady_clock::now() - start)
                 .count();
         admission_.Complete(ticket, micros);
         tenant_latency_->WithLabel(tenant).Record(micros);
+        completions_->WithLabel(StatusLabel(response.status)).Increment();
         {
-          MutexLock lock(stats_mu_);
-          ++stats_.completed;
-        }
-        inflight_.fetch_sub(1);
-        {
-          // Empty critical section: pairs the decrement with Drain's
-          // locked re-check so the notify can't be missed.
+          // Empty critical section: pairs the completion count with
+          // Drain's locked re-check so the notify can't be missed.
           MutexLock lock(drain_mu_);
         }
         drain_cv_.NotifyAll();
@@ -174,78 +189,57 @@ Result<DbHandle> Router::Commit(
     const std::function<Status(DeltaBatch*)>& mutate) {
   const int shard = shards_->ShardForRef(db_ref);
   tenant_requests_->WithLabel(tenant).Increment();
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.commits_submitted;
-  }
 
   const HealthState health = shards_->registry(shard).health();
   if (health != HealthState::kHealthy) {
     const Status status = Status::Unavailable(
         "Commit shed: shard " + std::to_string(shard) + " storage is " +
         std::string(HealthStateName(health)));
-    admission_total_
-        ->WithLabel(
-            AdmissionDecisionName(AdmissionDecision::kShedShardUnavailable))
-        .Increment();
+    commits_total_->WithLabel("shed").Increment();
     tenant_sheds_->WithLabel(tenant).Increment();
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.shed_shard_unavailable;
-    }
-    // Synthetic shed record: no query ran, surface the write target and
-    // the health reason where the regex/algorithm would be.
+    // No query ran: surface the write target where the regex would be.
     obs::SlowQueryRecord record;
     record.regex = "commit:" + std::string(db_ref);
     record.semantics = "write";
-    record.status = std::string(ShedStatusLabel(status));
-    record.algorithm = std::string(
-        AdmissionDecisionName(AdmissionDecision::kShedShardUnavailable));
-    shed_log_.Push(std::move(record));
+    RecordShed(AdmissionDecision::kShedShardUnavailable, status,
+               std::move(record));
     return status;
   }
 
   DbRegistry& registry = shards_->registry(shard);
   Result<DbHandle> latest = registry.Resolve(db_ref);
-  if (!latest.ok()) return latest.status();
+  if (!latest.ok()) {
+    commits_total_->WithLabel("error").Increment();
+    return latest.status();
+  }
   DeltaBatch batch = registry.BeginDelta(*latest);
   const Status mutated = mutate(&batch);
-  if (!mutated.ok()) return mutated;
-  Result<DbHandle> committed = batch.Commit();
-  {
-    MutexLock lock(stats_mu_);
-    if (committed.ok()) {
-      ++stats_.commits_applied;
-    } else if (committed.status().code() == StatusCode::kUnavailable) {
-      ++stats_.commits_unavailable;
-    }
+  if (!mutated.ok()) {
+    commits_total_->WithLabel("error").Increment();
+    return mutated;
   }
+  Result<DbHandle> committed = batch.Commit();
+  commits_total_
+      ->WithLabel(committed.ok() ? "applied"
+                  : committed.status().code() == StatusCode::kUnavailable
+                      ? "unavailable"
+                      : "error")
+      .Increment();
   return committed;
 }
 
 void Router::Drain() {
   MutexLock lock(drain_mu_);
-  while (inflight_.load() != 0) drain_cv_.Wait(drain_mu_);
+  for (RouterStats s = stats(); s.completed != s.admitted; s = stats()) {
+    drain_cv_.Wait(drain_mu_);
+  }
 }
 
-void Router::RecordShed(AdmissionDecision decision, const ServeRequest& serve,
-                        const Status& status, int64_t admission_micros,
-                        const obs::TraceContext& trace) {
-  obs::SlowQueryRecord record;
-  record.regex = serve.request.query != nullptr ? serve.request.query->regex
-                                                : serve.request.regex;
-  record.semantics =
-      (serve.request.query != nullptr
-           ? serve.request.query->semantics
-           : serve.request.semantics) == Semantics::kBag
-          ? "bag"
-          : "set";
-  record.status = std::string(ShedStatusLabel(status));
+void Router::RecordShed(AdmissionDecision decision, const Status& status,
+                        obs::SlowQueryRecord record) {
+  record.status = std::string(StatusLabel(status));
   // No solver ran; surface the shed reason where the algorithm would be.
   record.algorithm = std::string(AdmissionDecisionName(decision));
-  record.total_micros = admission_micros;
-  record.spans_dropped = trace.dropped();
-  record.spans.assign(trace.spans(), trace.spans() + trace.size());
   shed_log_.Push(std::move(record));
 }
 
@@ -254,8 +248,7 @@ EngineStats Router::engine_stats() const {
 }
 
 RouterStats Router::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  return RouterStatsFromSnapshot(metrics_.TakeSnapshot());
 }
 
 obs::MetricsSnapshot Router::TakeMetricsSnapshot() const {

@@ -14,7 +14,9 @@
 // request completes. A shed request never touches an engine: its future
 // resolves immediately with kDeadlineExceeded / kResourceExhausted, the
 // shed lands in the router's slow-query log with an admission-only span
-// tree, and the decision is counted in router metrics.
+// tree, and the decision is counted in router metrics. Commits take the
+// same route without admission control: Commit sheds them on an unhealthy
+// shard and counts every commit's outcome.
 //
 // The Router also merges the fleet into one view:
 //   * engine_stats()      — EngineStats read from the shard="all" roll-ups
@@ -31,7 +33,6 @@
 #ifndef RPQRES_SERVE_ROUTER_H_
 #define RPQRES_SERVE_ROUTER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -62,34 +63,40 @@ struct RouterOptions {
   size_t shed_log_capacity = 256;
 };
 
-/// Router-level counters; one mutex guards them all, so any snapshot is
-/// internally consistent (submitted == admitted + sheds in every
-/// snapshot, mirroring the engine's stats discipline).
+/// Router-level counters, a view computed from the router's families
+/// (RouterStatsFromSnapshot). Reads and commits are counted apart, and
+/// both sides of submitted == admitted + sheds() sum one family read
+/// once, so every snapshot balances; completed <= admitted holds too.
 struct RouterStats {
-  int64_t submitted = 0;
+  int64_t submitted = 0;  ///< reads: Σ admission decisions
   int64_t admitted = 0;
   int64_t completed = 0;  ///< admitted requests whose engine run finished
   int64_t shed_deadline_expired = 0;
   int64_t shed_deadline_unmeetable = 0;
   int64_t shed_shard_saturated = 0;
   int64_t shed_tenant_cap = 0;
-  /// Reads refused because the home shard's storage failed outright, plus
-  /// commits refused because it is degraded or failed. Degraded shards
-  /// still serve reads — only writes shed here.
+  /// Reads refused because the home shard's storage failed outright
+  /// (degraded shards still serve reads; commits_shed counts writes).
   int64_t shed_shard_unavailable = 0;
 
-  int64_t commits_submitted = 0;
+  int64_t commits_submitted = 0;  ///< Σ commit outcomes
   int64_t commits_applied = 0;
   /// Commits that reached a healthy-looking shard but came back
   /// kUnavailable (storage faulted mid-commit; the registry rolled the
   /// version back and degraded itself).
   int64_t commits_unavailable = 0;
+  int64_t commits_shed = 0;  ///< shed on a degraded or failed shard
+  /// Any other failure: unresolved reference, failed mutation, conflict.
+  int64_t commits_error = 0;
 
   int64_t sheds() const {
     return shed_deadline_expired + shed_deadline_unmeetable +
            shed_shard_saturated + shed_tenant_cap + shed_shard_unavailable;
   }
 };
+
+/// The one derivation of RouterStats, from the router's unsharded samples.
+RouterStats RouterStatsFromSnapshot(const obs::MetricsSnapshot& snapshot);
 
 class Router {
  public:
@@ -124,13 +131,15 @@ class Router {
   Result<DbHandle> Commit(std::string_view tenant, std::string_view db_ref,
                           const std::function<Status(DeltaBatch*)>& mutate);
 
-  /// Blocks until no admitted request is in flight.
+  /// Blocks until no admitted request is in flight: until the completions
+  /// counted equal the admissions.
   void Drain() RPQRES_EXCLUDES(drain_mu_);
 
   /// Fleet EngineStats: EngineStatsFromSnapshot(TakeMetricsSnapshot(),
   /// "all"), the shard="all" roll-ups of every shard engine's counters.
   EngineStats engine_stats() const;
-  RouterStats stats() const RPQRES_EXCLUDES(stats_mu_);
+  /// RouterStatsFromSnapshot over the router's own families.
+  RouterStats stats() const;
 
   /// Fleet metrics: per-shard engine series tagged shard="i", shard="all"
   /// roll-ups, per-shard registry gauges, and router-level admission and
@@ -153,30 +162,30 @@ class Router {
   /// Home shard for a request: db_ref name if present, else the
   /// handle's lineage name.
   int RouteShard(const ResilienceRequest& request) const;
-  void RecordShed(AdmissionDecision decision, const ServeRequest& request,
-                  const Status& status, int64_t admission_micros,
-                  const obs::TraceContext& trace);
+  /// Logs a shed: `record` carries what was refused (the request, or a
+  /// commit's target), this adds the status and the shed reason.
+  void RecordShed(AdmissionDecision decision, const Status& status,
+                  obs::SlowQueryRecord record);
 
   ShardedRegistry* const shards_;
   const RouterOptions options_;
   AdmissionController admission_;
 
+  /// Every router event is counted once, here. The admission family is
+  /// created before the completions family, so a snapshot (which reads
+  /// newer families first) never shows more completions than admissions.
   obs::MetricsRegistry metrics_;
-  obs::CounterFamily* const admission_total_;
+  obs::CounterFamily* const admission_total_;  // {decision}, reads only
+  obs::CounterFamily* const commits_total_;    // {outcome}
+  obs::CounterFamily* const completions_;      // {status}
   obs::CounterFamily* const tenant_requests_;
   obs::CounterFamily* const tenant_sheds_;
   obs::HistogramFamily* const tenant_latency_;
 
   obs::SlowQueryLog shed_log_;
 
-  mutable rpqres::Mutex stats_mu_;
-  RouterStats stats_ RPQRES_GUARDED_BY(stats_mu_);
-
-  /// Admitted-but-not-completed count. Atomic (not guarded): completion
-  /// callbacks decrement it on engine workers; Drain reads it under
-  /// drain_mu_ only to pair with the condvar, the counter itself needs no
-  /// lock.
-  std::atomic<int64_t> inflight_{0};
+  /// Completion callbacks notify drain_cv_ after counting; drain_mu_ only
+  /// pairs that with Drain's re-check, the counters need no lock.
   rpqres::Mutex drain_mu_;
   rpqres::CondVar drain_cv_;
 };

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "graphdb/label_index.h"
 #include "graphdb/serialization.h"
 #include "lang/language.h"
 #include "resilience/exact.h"
@@ -28,23 +29,26 @@ std::string JudgeOnce(const Language& lang, const ResiliencePlan& plan,
                       const GraphDb& db, Semantics semantics,
                       const ExactOptions& exact_options,
                       int brute_force_max_facts) {
+  // One index of the candidate serves the plan, the reference and the
+  // judge.
+  const LabelIndex index(db);
   ResilienceResponse response;
   response.differential.emplace();
   Result<ResilienceResult> primary =
-      ComputeResilienceWithPlan(plan, db, semantics, exact_options);
+      ComputeResilienceWithPlan(plan, db, semantics, exact_options, &index);
   if (primary.ok()) {
     response.result = *std::move(primary);
   } else {
     response.status = primary.status();
   }
   Result<ResilienceResult> reference =
-      SolveExactResilience(lang, db, semantics, exact_options);
+      SolveExactResilience(lang, db, semantics, index, exact_options);
   if (reference.ok()) {
     response.differential->reference_result = *std::move(reference);
   } else {
     response.differential->reference_status = reference.status();
   }
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   if (!response.differential->mismatch.empty() ||
       response.differential->inconclusive) {
     return response.differential->mismatch;

@@ -418,6 +418,31 @@ TEST(EngineObservabilityTest, StatsViewEqualsExportedSamples) {
   ExpectViewEqualsExport(stats, engine.TakeMetricsSnapshot(), "");
 }
 
+TEST(EngineObservabilityTest, PlanCacheViewEqualsEngineStats) {
+  DbRegistry registry;
+  ResilienceEngine engine(TinyCaches());
+  ExerciseEveryCounter(engine, registry);
+
+  const PlanCacheView::Stats plan = engine.plan_cache_view().stats;
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(plan.hits, 0);
+  EXPECT_GT(plan.misses, 0);
+  EXPECT_GT(plan.evictions, 0);
+  EXPECT_EQ(plan.hits, stats.cache_hits);
+  EXPECT_EQ(plan.misses, stats.cache_misses);
+  EXPECT_EQ(plan.evictions, stats.cache_evictions);
+
+  engine.ResetStats();
+  const PlanCacheView::Stats reset = engine.plan_cache_view().stats;
+  const EngineStats reset_stats = engine.stats();
+  EXPECT_EQ(reset.hits, 0);
+  EXPECT_EQ(reset.misses, 0);
+  EXPECT_EQ(reset.evictions, 0);
+  EXPECT_EQ(reset_stats.cache_hits, 0);
+  EXPECT_EQ(reset_stats.cache_misses, 0);
+  EXPECT_EQ(reset_stats.cache_evictions, 0);
+}
+
 TEST(EngineObservabilityTest, RouterStatsViewEqualsAllRollup) {
   serve::ShardedRegistry shards(4, TinyCaches());
   serve::Router router(&shards);

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/db_registry.h"
@@ -130,8 +134,8 @@ TEST_F(ServeDegradedTest, DegradedShardServesReadsAndShedsCommits) {
   });
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(router.stats().shed_shard_unavailable, 1);
-  EXPECT_EQ(router.stats().sheds(), 1);
+  EXPECT_EQ(router.stats().commits_shed, 1);
+  EXPECT_EQ(router.stats().sheds(), 0);  // read sheds only
 
   // Reads still flow to the degraded shard, with unchanged answers.
   ResilienceResponse after = Read(router, name);
@@ -182,16 +186,178 @@ TEST_F(ServeDegradedTest, DegradedShardServesReadsAndShedsCommits) {
     }
   }
   EXPECT_TRUE(saw_fault_counter);
-  bool saw_shed_decision = false;
+  bool saw_shed_outcome = false;
   for (const auto& family : snapshot.counters) {
-    if (family.name != "rpqres_router_admission_total") continue;
+    if (family.name != "rpqres_router_commits_total") continue;
     for (const auto& sample : family.samples) {
-      if (sample.label == "shed_shard_unavailable" && sample.value >= 1) {
-        saw_shed_decision = true;
+      if (sample.label == "shed" && sample.value >= 1) {
+        saw_shed_outcome = true;
       }
     }
   }
-  EXPECT_TRUE(saw_shed_decision);
+  EXPECT_TRUE(saw_shed_outcome);
+}
+
+TEST_F(ServeDegradedTest, CommitShedKeepsTheReadBalance) {
+  ShardedRegistry shards(2, TestEngineOptions(), PersistentOptions(dir_));
+  Router router(&shards);
+  auto [name, other_name] = SplitNames(shards);
+  shards.Register(TinyDb(), name);
+  const int shard = shards.ShardForName(name);
+  shards.registry(shard).DegradeStorageForTesting(
+      Status::Unavailable("journal device gone (drill)"));
+  ASSERT_EQ(shards.registry(shard).health(), HealthState::kDegraded);
+
+  ASSERT_TRUE(Read(router, name).status.ok());
+  Result<DbHandle> shed = router.Commit("acme", name, [](DeltaBatch* batch) {
+    (void)batch;
+    return Status::OK();
+  });
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
+
+  // A commit shed is a commit outcome, not a read decision: the read
+  // balance still holds.
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.commits_shed, 1);
+  EXPECT_EQ(stats.commits_submitted, 1);
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.admitted, 1);
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.sheds());
+}
+
+/// One sample of the router's own (unsharded) counter families, or -1
+/// when absent; an empty label sums the family.
+int64_t RouterSample(const obs::MetricsSnapshot& snapshot,
+                     std::string_view family, std::string_view label) {
+  int64_t value = -1;
+  for (const obs::CounterFamily::Snapshot& f : snapshot.counters) {
+    if (f.name != family) continue;
+    for (const obs::CounterFamily::Sample& sample : f.samples) {
+      if (sample.shard.empty() && (label.empty() || sample.label == label)) {
+        value = std::max<int64_t>(value, 0) + sample.value;
+      }
+    }
+  }
+  return value;
+}
+
+TEST_F(ServeDegradedTest, RouterStatsViewEqualsExport) {
+  ShardedRegistry shards(2, TestEngineOptions(), PersistentOptions(dir_));
+  serve::RouterOptions options;
+  options.admission.max_inflight_per_shard = 2;
+  options.admission.max_inflight_per_tenant = 1;
+  options.admission.min_predict_samples = 1;
+  Router router(&shards, options);
+  auto [name, other_name] = SplitNames(shards);
+  shards.Register(TinyDb(), name);
+  shards.Register(TinyDb(), other_name);
+  const int shard = shards.ShardForName(name);
+  const int other = shards.ShardForName(other_name);
+  auto read = [&](const std::string& tenant, const std::string& ref,
+                  std::optional<std::chrono::steady_clock::time_point>
+                      deadline) {
+    ServeRequest request;
+    request.tenant = tenant;
+    request.request.regex = "a";
+    request.request.db_ref = ref;
+    request.request.options.deadline = deadline;
+    return router.Evaluate(std::move(request)).status.code();
+  };
+  const auto now = std::chrono::steady_clock::now();
+
+  // Two admitted reads, and a deadline that has already passed.
+  EXPECT_EQ(read("acme", name, std::nullopt), StatusCode::kOk);
+  EXPECT_EQ(read("acme", other_name, std::nullopt), StatusCode::kOk);
+  EXPECT_EQ(read("acme", other_name, now - std::chrono::milliseconds(1)),
+            StatusCode::kDeadlineExceeded);
+  // Two held slots saturate the other shard; tenant "x" holds one of them,
+  // its cap.
+  serve::AdmissionController::Ticket held[2];
+  ASSERT_EQ(router.admission().TryAdmit(other, "x", std::nullopt, &held[0]),
+            serve::AdmissionDecision::kAdmitted);
+  ASSERT_EQ(router.admission().TryAdmit(other, "y", std::nullopt, &held[1]),
+            serve::AdmissionDecision::kAdmitted);
+  EXPECT_EQ(read("acme", other_name, std::nullopt),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(read("x", name, std::nullopt), StatusCode::kResourceExhausted);
+  // Releasing them as 1000 s requests makes a 1 s deadline unmeetable.
+  router.admission().Complete(held[0], 1e9);
+  router.admission().Complete(held[1], 1e9);
+  EXPECT_EQ(read("acme", other_name,
+                 std::chrono::steady_clock::now() + std::chrono::seconds(1)),
+            StatusCode::kDeadlineExceeded);
+
+  // Commits: applied, two errors, rolled back, then shed.
+  auto add_fact = [](DeltaBatch* batch) {
+    NodeId n = batch->AddNode();
+    return batch->AddFact(0, 'a', n).status();
+  };
+  EXPECT_TRUE(router.Commit("acme", name, add_fact).ok());
+  EXPECT_EQ(router.Commit("acme", name + "@99", add_fact).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(router
+                .Commit("acme", name,
+                        [](DeltaBatch*) {
+                          return Status::InvalidArgument("refused");
+                        })
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  fault::FailpointRegistry::Instance().Arm(
+      fault::sites::kJournalWrite,
+      fault::FaultSpec::Always(fault::FaultKind::kEIO));
+  EXPECT_EQ(router.Commit("acme", name, add_fact).status().code(),
+            StatusCode::kUnavailable);
+  fault::FailpointRegistry::Instance().ResetAll();
+  EXPECT_EQ(router.Commit("acme", name, add_fact).status().code(),
+            StatusCode::kUnavailable);
+
+  // A failed shard sheds reads.
+  shards.registry(shard).DegradeStorageForTesting(
+      Status::DataLoss("segment checksum mismatch (drill)"));
+  EXPECT_EQ(read("acme", name, std::nullopt), StatusCode::kUnavailable);
+  router.Drain();
+
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.submitted, 7);
+  EXPECT_EQ(stats.admitted, 2);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.shed_deadline_expired, 1);
+  EXPECT_EQ(stats.shed_deadline_unmeetable, 1);
+  EXPECT_EQ(stats.shed_shard_saturated, 1);
+  EXPECT_EQ(stats.shed_tenant_cap, 1);
+  EXPECT_EQ(stats.shed_shard_unavailable, 1);
+  EXPECT_EQ(stats.commits_submitted, 5);
+  EXPECT_EQ(stats.commits_applied, 1);
+  EXPECT_EQ(stats.commits_error, 2);
+  EXPECT_EQ(stats.commits_unavailable, 1);
+  EXPECT_EQ(stats.commits_shed, 1);
+
+  // Field by field, against the exported samples themselves.
+  const obs::MetricsSnapshot snapshot = router.TakeMetricsSnapshot();
+  auto decision = [&](std::string_view label) {
+    return RouterSample(snapshot, "rpqres_router_admission_total", label);
+  };
+  auto outcome = [&](std::string_view label) {
+    return RouterSample(snapshot, "rpqres_router_commits_total", label);
+  };
+  EXPECT_EQ(stats.submitted, decision(""));
+  EXPECT_EQ(stats.admitted, decision("admitted"));
+  EXPECT_EQ(stats.shed_deadline_expired, decision("shed_deadline_expired"));
+  EXPECT_EQ(stats.shed_deadline_unmeetable,
+            decision("shed_deadline_unmeetable"));
+  EXPECT_EQ(stats.shed_shard_saturated, decision("shed_shard_saturated"));
+  EXPECT_EQ(stats.shed_tenant_cap, decision("shed_tenant_cap"));
+  EXPECT_EQ(stats.shed_shard_unavailable, decision("shed_shard_unavailable"));
+  EXPECT_EQ(stats.completed,
+            RouterSample(snapshot, "rpqres_router_completions_total", ""));
+  EXPECT_EQ(stats.commits_submitted, outcome(""));
+  EXPECT_EQ(stats.commits_applied, outcome("applied"));
+  EXPECT_EQ(stats.commits_error, outcome("error"));
+  EXPECT_EQ(stats.commits_unavailable, outcome("unavailable"));
+  EXPECT_EQ(stats.commits_shed, outcome("shed"));
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.sheds());
 }
 
 TEST_F(ServeDegradedTest, FailedShardShedsReadsToo) {

@@ -52,7 +52,8 @@ EngineOptions StressEngineOptions() {
 }
 
 void CheckMergedInvariants(const Router& router, const char* where) {
-  // One mutex guards RouterStats, so any snapshot balances exactly.
+  // Both sides of the read balance sum one counter family, read once, so
+  // any snapshot balances exactly.
   RouterStats rs = router.stats();
   EXPECT_EQ(rs.submitted, rs.admitted + rs.sheds()) << where;
   EXPECT_LE(rs.completed, rs.admitted) << where;

@@ -8,16 +8,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "engine/db_registry.h"
 #include "fault/failpoints.h"
 #include "graphdb/serialization.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace rpqres {
@@ -91,8 +94,15 @@ TEST_F(StorageFaultInjectionTest, TransientFaultRetriesAndHeals) {
   EXPECT_GE(registry->stats().storage_faults, 1);
   EXPECT_EQ(registry->stats().commits_unavailable, 0);
   bool counted = false;
-  for (const auto& [op, count] : registry->storage_fault_counts()) {
-    if (op == "journal_append" && count >= 1) counted = true;
+  obs::MetricsSnapshot snapshot;
+  registry->AppendMetrics(&snapshot);
+  for (const obs::CounterFamily::Snapshot& family : snapshot.counters) {
+    if (family.name != "rpqres_storage_faults_total") continue;
+    for (const obs::CounterFamily::Sample& sample : family.samples) {
+      if (sample.label == "journal_append" && sample.value >= 1) {
+        counted = true;
+      }
+    }
   }
   EXPECT_TRUE(counted);
 
@@ -105,6 +115,91 @@ TEST_F(StorageFaultInjectionTest, TransientFaultRetriesAndHeals) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->version(), 2u);
   EXPECT_EQ(SerializeGraphDb(restored->db()), expected);
+}
+
+/// One counter sample of the registry's export, or -1 when absent; an
+/// empty label sums the family.
+int64_t Exported(const DbRegistry& registry, std::string_view family,
+                 std::string_view label) {
+  obs::MetricsSnapshot snapshot;
+  registry.AppendMetrics(&snapshot);
+  int64_t value = -1;
+  for (const obs::CounterFamily::Snapshot& f : snapshot.counters) {
+    if (f.name != family) continue;
+    for (const obs::CounterFamily::Sample& sample : f.samples) {
+      if (label.empty() || sample.label == label) {
+        value = std::max<int64_t>(value, 0) + sample.value;
+      }
+    }
+  }
+  return value;
+}
+
+TEST_F(StorageFaultInjectionTest, RegistryStatsViewEqualsExport) {
+  DbRegistry::Options options = FastRetryOptions();
+  options.storage_dir = dir_;
+  options.compaction_min_overlay = 1;
+  options.compaction_fraction = 0.0;
+  DbRegistry registry(options);
+  DbHandle v1 = registry.Register(SeedDb(), "db");
+  ASSERT_TRUE(registry.Register(SeedDb(), "spare").valid());
+
+  // A journaled commit (one overlay fact, at the threshold), then a
+  // conflicting one from the same parent.
+  Result<DbHandle> v2 = CommitTwoFacts(&registry, v1);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_EQ(CommitTwoFacts(&registry, v1).status().code(),
+            StatusCode::kAborted);
+
+  // A compacting commit whose segment write fails once and is retried.
+  fault::FailpointRegistry::Instance().Arm(
+      fault::sites::kSegmentWrite,
+      fault::FaultSpec::Once(fault::FaultKind::kEIO));
+  Result<DbHandle> v3 = CommitTwoFacts(&registry, *v2);
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  EXPECT_FALSE(v3->db().is_versioned());
+
+  // A journaled commit whose every write fails: rolled back, uncounted as
+  // a commit; the next one sheds on the degraded registry.
+  fault::FailpointRegistry::Instance().Arm(
+      fault::sites::kJournalWrite,
+      fault::FaultSpec::Always(fault::FaultKind::kEIO));
+  EXPECT_EQ(CommitTwoFacts(&registry, *v3).status().code(),
+            StatusCode::kUnavailable);
+  fault::FailpointRegistry::Instance().ResetAll();
+  EXPECT_EQ(CommitTwoFacts(&registry, *v3).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(registry.Unregister(v2->id()));
+
+  const DbRegistry::Stats stats = registry.stats();
+  EXPECT_EQ(stats.registered, 2);
+  EXPECT_EQ(stats.unregistered, 1);
+  EXPECT_EQ(stats.commits, 2);
+  EXPECT_EQ(stats.commit_conflicts, 1);
+  EXPECT_EQ(stats.compactions, 1);
+  EXPECT_EQ(stats.storage_retries, 2);  // the segment and journal retries
+  EXPECT_EQ(stats.storage_faults, 3);   // 1 segment write, 2 journal appends
+  EXPECT_EQ(stats.commits_unavailable, 2);
+
+  // Field by field, against the samples themselves.
+  auto event = [&](std::string_view label) {
+    return Exported(registry, "rpqres_registry_events_total", label);
+  };
+  EXPECT_EQ(stats.registered, event("registered"));
+  EXPECT_EQ(stats.unregistered, event("unregistered"));
+  EXPECT_EQ(stats.commits, event("commit"));
+  EXPECT_EQ(stats.commit_conflicts, event("commit_conflict"));
+  EXPECT_EQ(stats.compactions, event("compaction"));
+  EXPECT_EQ(stats.storage_retries, event("storage_retry"));
+  EXPECT_EQ(stats.commits_unavailable, event("commit_unavailable"));
+  EXPECT_EQ(stats.storage_faults,
+            Exported(registry, "rpqres_storage_faults_total", ""));
+  EXPECT_EQ(Exported(registry, "rpqres_storage_faults_total",
+                     "segment_write"),
+            1);
+  EXPECT_EQ(Exported(registry, "rpqres_storage_faults_total",
+                     "journal_append"),
+            2);
 }
 
 TEST_F(StorageFaultInjectionTest, PermanentFaultRollsBackAndShedsCommits) {

@@ -9,6 +9,7 @@
 
 #include "engine/engine.h"
 #include "graphdb/generators.h"
+#include "graphdb/label_index.h"
 #include "graphdb/serialization.h"
 #include "lang/language.h"
 #include "workload/differential_oracle.h"
@@ -90,6 +91,7 @@ TEST(OracleTest, RunSeedsGroupsMixedClasses) {
 TEST(JudgeDifferentialTest, CatchesDoctoredResults) {
   Language lang = Language::MustFromRegexString("ab");
   GraphDb db = PathDb("ab");  // RES = 1, witness {0} or {1}
+  const LabelIndex index(db);
   Semantics semantics = Semantics::kSet;
 
   auto solve = [&](ResilienceMethod method) {
@@ -105,13 +107,13 @@ TEST(JudgeDifferentialTest, CatchesDoctoredResults) {
   response.differential.emplace();
   response.result = *honest;
   response.differential->reference_result = *honest;
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   EXPECT_TRUE(response.differential->agree)
       << response.differential->mismatch;
 
   // Value divergence.
   response.result.value = 7;
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   EXPECT_FALSE(response.differential->agree);
   EXPECT_NE(response.differential->mismatch.find("value divergence"),
             std::string::npos);
@@ -119,7 +121,7 @@ TEST(JudgeDifferentialTest, CatchesDoctoredResults) {
   // Infinite divergence.
   response.result = *honest;
   response.result.infinite = true;
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   EXPECT_FALSE(response.differential->agree);
   EXPECT_NE(response.differential->mismatch.find("infinite divergence"),
             std::string::npos);
@@ -128,7 +130,7 @@ TEST(JudgeDifferentialTest, CatchesDoctoredResults) {
   // the query).
   response.result = *honest;
   response.result.contingency.clear();
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   EXPECT_FALSE(response.differential->agree);
   EXPECT_NE(response.differential->mismatch.find("primary witness invalid"),
             std::string::npos);
@@ -138,10 +140,10 @@ TEST(JudgeDifferentialTest, CatchesDoctoredResults) {
   response = ResilienceResponse{};
   response.status = Status::Internal("boom");
   ASSERT_FALSE(response.differential.has_value());
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   ASSERT_TRUE(response.differential.has_value());
   response.differential->reference_result = *honest;
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   EXPECT_FALSE(response.differential->agree);
   EXPECT_NE(response.differential->mismatch.find("status divergence"),
             std::string::npos);
@@ -151,7 +153,7 @@ TEST(JudgeDifferentialTest, CatchesDoctoredResults) {
   response.status = Status::OutOfRange("node budget");
   response.differential.emplace();
   response.differential->reference_result = *honest;
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   EXPECT_FALSE(response.differential->agree);
   EXPECT_TRUE(response.differential->inconclusive);
   EXPECT_TRUE(response.differential->mismatch.empty());
@@ -162,7 +164,7 @@ TEST(JudgeDifferentialTest, CatchesDoctoredResults) {
   response.differential.emplace();
   response.differential->reference_status =
       Status::DeadlineExceeded("too slow");
-  JudgeDifferential(lang, db, semantics, &response);
+  JudgeDifferential(lang, db, index, semantics, &response);
   EXPECT_FALSE(response.differential->agree);
   EXPECT_TRUE(response.differential->inconclusive);
   EXPECT_TRUE(response.differential->mismatch.empty());
