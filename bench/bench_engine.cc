@@ -946,7 +946,6 @@ constexpr int kServeStormRequests = 600;
 EngineOptions ServeEngineOptions() {
   EngineOptions options;
   options.num_threads = kServeThreadsPerShard;
-  options.max_word_length = 8;
   options.result_cache_capacity = kServeResultCacheCapacity;
   return options;
 }
@@ -1149,7 +1148,7 @@ std::string ServeJson(const std::vector<ServeShardRun>& runs,
   out << "  \"traffic_seed\": " << kServeTrafficSeed << ",\n";
   out << "  \"engine\": {\"num_threads_per_shard\": " << kServeThreadsPerShard
       << ", \"result_cache_capacity\": " << kServeResultCacheCapacity
-      << ", \"max_word_length\": 8},\n";
+      << "},\n";
   out << "  \"traffic\": {\"num_lineages\": " << trace.num_lineages()
       << ", \"distinct_read_keys\": " << 2 * trace.distinct_read_keys()
       << ", \"timed_ops\": " << kServeTimedOps << "},\n";

@@ -35,7 +35,7 @@ const std::vector<Fig1Row>& Fig1Languages() {
       {"ax*b|xd", "PTIME", "one-dangling (Prp 7.9)"},
       {"axb|cxd", "NP-hard", "four-legged (Thm 5.3)"},
       {"ax*b|cxd", "NP-hard", "four-legged (Thm 5.3)"},
-      {"b(aa)*d", "NP-hard", "non-star-free (Lem 5.6)"},
+      {"b(aa)*d", "NP-hard", "four-legged, non-star-free (Lem 5.6)"},
       {"aa", "NP-hard", "finite, repeated letter (Thm 6.1)"},
       {"aaaa", "NP-hard", "finite, repeated letter (Thm 6.1)"},
       {"abca|cab", "NP-hard", "finite, repeated letter (Thm 6.1)"},

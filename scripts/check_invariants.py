@@ -37,6 +37,12 @@ about, enforced over the source tree:
       `--stats_.x`, `stats_.x += n`, `stats_.x = n`, `stats_ = Stats{}`)
       is a second counter store beside the families.
 
+  exact-four-legged
+      The classifier and the four-legged test decide Def 5.1 on the
+      minimal DFA. Listing words up to a length bound (`WordsUpTo(`) in
+      src/classify/ or src/lang/four_legged.* would bring back an
+      incomplete search and its length knob.
+
 Suppressions: a violating line is waived by `invariant-ok: <reason>`
 (optionally `invariant-ok(<rule>): <reason>`) in a comment on the same
 line or the line directly above. The reason is mandatory — an empty
@@ -79,6 +85,9 @@ SOLVER_FACT_ACCESS_RES = [
                 r"\bnullptr\s*[!=]=\s*(label_index|index_)\b"),
      "null check on a label index"),
 ]
+
+# Bounded word listing, banned where four-leggedness is decided.
+WORDS_UP_TO_RE = re.compile(r"\bWordsUpTo\s*\(")
 
 # A mutation of a hand-kept `stats_` member (see one-counter-source).
 STATS_MUTATION_RE = re.compile(
@@ -128,6 +137,8 @@ def scan_file(rel_path: str, text: str):
     in_workload = rel_path.startswith("src/workload/")
     in_resilience = rel_path.startswith("src/resilience/")
     in_src = rel_path.startswith("src/")
+    decides_four_legged = (rel_path.startswith("src/classify/") or
+                           rel_path.startswith("src/lang/four_legged."))
     is_annotation_header = rel_path.endswith("util/thread_annotations.h")
 
     def check(idx: int, rule: str, message: str):
@@ -168,6 +179,10 @@ def scan_file(rel_path: str, text: str):
                   "hand-kept stats_ counter — count the event in a metric "
                   "family and read the Stats struct from a snapshot "
                   "(obs::ReadSampleFields)")
+        if decides_four_legged and WORDS_UP_TO_RE.search(line):
+            check(idx, "exact-four-legged",
+                  "bounded word listing where four-leggedness is decided — "
+                  "use the exact FindFourLeggedWitness on the minimal DFA")
         if TSA_OPTOUT in line and not is_annotation_header:
             # The opt-out demands a justification comment on its line or
             # the one above; reuse the suppression mechanism for that.
@@ -301,6 +316,22 @@ SELF_TEST_CASES = [
         # The rule covers src/ only.
         "tests/fake_counter_test.cc",
         "  ++stats_.hits;\n",
+        [],
+    ),
+    (
+        "src/lang/four_legged.cc",
+        "  Result<std::vector<std::string>> r = lang.WordsUpTo(12);\n",
+        [("exact-four-legged", 1)],
+    ),
+    (
+        "src/classify/bad_classifier.cc",
+        "  auto words = ifl.WordsUpTo (max_word_length);\n",
+        [("exact-four-legged", 1)],
+    ),
+    (
+        # Other analyses may still list short words.
+        "src/lang/one_dangling.cc",
+        "  Result<std::vector<std::string>> short_words = lang.WordsUpTo(2);\n",
         [],
     ),
     (

@@ -8,7 +8,6 @@
 #include "lang/infix_free.h"
 #include "lang/neutral_letter.h"
 #include "lang/repeated_letter.h"
-#include "lang/star_free.h"
 #include "util/strings.h"
 
 namespace rpqres {
@@ -99,17 +98,14 @@ bool MatchesUpToRenaming(std::vector<std::string> words,
 
 }  // namespace
 
-Result<Classification> ClassifyResilience(const Language& lang,
-                                          int max_word_length) {
+Result<Classification> ClassifyResilience(const Language& lang) {
   Language ifl = InfixFreeSublanguage(lang);
-  return ClassifyResilienceWithIF(lang, ifl, FindTractableForm(ifl),
-                                  max_word_length);
+  return ClassifyResilienceWithIF(lang, ifl, FindTractableForm(ifl));
 }
 
 Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const Language& ifl,
-                                                const TractableForm& form,
-                                                int max_word_length) {
+                                                const TractableForm& form) {
   Classification out;
   out.finite = ifl.IsFinite();
   if (out.finite) {
@@ -171,8 +167,7 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
     out.detail = "maximal-gap word " + (word ? word->word : "?");
     return out;
   }
-  std::optional<FourLeggedWitness> witness =
-      FindFourLeggedWitness(ifl, max_word_length);
+  std::optional<FourLeggedWitness> witness = FindFourLeggedWitness(ifl);
   if (witness) {
     out.complexity = ComplexityClass::kNpHard;
     out.rule = "four-legged language (Thm 5.3)";
@@ -182,16 +177,11 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
     return out;
   }
   if (!out.finite) {
-    RPQRES_ASSIGN_OR_RETURN(bool star_free, IsStarFree(ifl));
-    if (!star_free) {
-      out.complexity = ComplexityClass::kNpHard;
-      out.rule = "non-star-free (Lem 5.6 + Thm 5.3)";
-      out.detail = "not counter-free: syntactic monoid is not aperiodic";
-      return out;
-    }
+    // A non-star-free IF(L) is four-legged (Lem 5.6), so it never gets here.
     // Neutral-letter dichotomy (Prp 5.7): the neutral letter is a property
     // of L itself (IF(L) typically loses it); IF(L) is not local here, so
-    // a neutral letter implies hardness.
+    // a neutral letter implies hardness even without four legs (Lem 5.8:
+    // (a|c)e*(a|d) holds aa instead).
     std::vector<char> neutral = NeutralLetters(lang);
     if (!neutral.empty()) {
       out.complexity = ComplexityClass::kNpHard;

@@ -4,7 +4,9 @@
 // problem using the paper's results, always on the infix-free sublanguage:
 //   PTIME:   local (Thm 3.13), bipartite chain (Prp 7.6),
 //            one-dangling / mirrored one-dangling (Prp 7.9 + Prp 6.3)
-//   NP-hard: four-legged (Thm 5.3), non-star-free (Lem 5.6),
+//   NP-hard: four-legged (Thm 5.3), decided exactly on the minimal DFA;
+//            this covers every non-star-free IF(L) (Lem 5.6),
+//            neutral letter + non-local (Prp 5.7),
 //            finite with a repeated-letter word (Thm 6.1),
 //            specific proven-hard languages up to letter renaming
 //            (Prp 7.4: ab|bc|ca; Prp 7.11: abcd|be|ef, abcd|bef)
@@ -41,10 +43,13 @@ struct Classification {
 };
 
 /// Classifies the resilience complexity of Q_L per the paper's results.
-/// `max_word_length` bounds the four-legged witness search for infinite
-/// languages (the search is exact for finite ones).
-Result<Classification> ClassifyResilience(const Language& lang,
-                                          int max_word_length = 12);
+Result<Classification> ClassifyResilience(const Language& lang);
+
+/// Ignored-argument overload kept for perfbench/; the next benchmark change
+/// deletes it.
+inline Result<Classification> ClassifyResilience(const Language& lang, int) {
+  return ClassifyResilience(lang);
+}
 
 /// Like ClassifyResilience, but takes the precomputed infix-free
 /// sublanguage IF(L) and its PTIME verdict FindTractableForm(IF(L))
@@ -54,8 +59,7 @@ Result<Classification> ClassifyResilience(const Language& lang,
 /// itself.
 Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const Language& ifl,
-                                                const TractableForm& form,
-                                                int max_word_length = 12);
+                                                const TractableForm& form);
 
 /// One-line report: "<regex>: <class> — <rule> (<detail>)".
 std::string ClassificationReport(const Language& lang,

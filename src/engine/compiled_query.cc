@@ -21,8 +21,7 @@ Result<std::shared_ptr<const CompiledQuery>> CompileQuery(
   Language ifl = InfixFreeSublanguage(language);
   TractableForm form = FindTractableForm(ifl);
   RPQRES_ASSIGN_OR_RETURN(Classification classification,
-                          ClassifyResilienceWithIF(language, ifl, form,
-                                                   options.max_word_length));
+                          ClassifyResilienceWithIF(language, ifl, form));
   ResilienceOptions plan_options;
   plan_options.allow_exponential = options.allow_exponential;
   RPQRES_ASSIGN_OR_RETURN(

@@ -29,8 +29,8 @@ struct CompileOptions {
   /// Whether the plan may fall back to the exponential exact solver when
   /// no polynomial algorithm applies (Unimplemented otherwise).
   bool allow_exponential = true;
-  /// Bound on the four-legged witness search during classification
-  /// (ClassifyResilience's max_word_length).
+  /// Ignored; only perfbench/ still sets it. The next benchmark change
+  /// deletes it.
   int max_word_length = 12;
 };
 

@@ -184,7 +184,6 @@ Result<std::shared_ptr<const CompiledQuery>> ResilienceEngine::CompileInternal(
   if (was_cache_hit) *was_cache_hit = false;
   CompileOptions compile_options;
   compile_options.allow_exponential = options_.allow_exponential;
-  compile_options.max_word_length = options_.max_word_length;
   RPQRES_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledQuery> compiled,
                           CompileQuery(regex, semantics, compile_options));
   plan_cache_eviction_->Add(static_cast<int64_t>(cache_.Insert(compiled)));

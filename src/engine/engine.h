@@ -71,6 +71,8 @@ struct EngineOptions {
   int num_threads = 0;
   /// Forwarded to CompileQuery / plan selection.
   bool allow_exponential = true;
+  /// Ignored; only perfbench/ still sets it. The next benchmark change
+  /// deletes it.
   int max_word_length = 12;
   /// Branch-and-bound node budget when an instance routes to the exact
   /// solver (both the plan side and the differential reference side).

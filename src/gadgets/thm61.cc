@@ -150,14 +150,14 @@ Result<Thm61Gadget> BuildThm61Gadget(const Language& lang) {
   }
 
   // Route 2: four-legged exits (Thm 5.3) — the proof's Claims 6.5, 6.8,
-  // 6.9 and 6.12 all land here. Stabilize the legs (Lem 5.5) and pick
-  // Case 1 / Case 2; try the mirror as well (Prp 6.3).
+  // 6.9 and 6.12 all land here. Pick Case 1 / Case 2 on stable legs;
+  // try the mirror as well (Prp 6.3).
   for (bool mirrored : {false, true}) {
     const Language& target = mirrored ? mirror : ifl;
-    std::optional<FourLeggedWitness> witness =
-        FindFourLeggedWitness(target);
+    // The witness comes with stable legs (Lem 5.5) already.
+    std::optional<FourLeggedWitness> witness = FindFourLeggedWitness(target);
     if (!witness) continue;
-    FourLeggedWitness stable = MakeStableLegs(target, *witness);
+    const FourLeggedWitness& stable = *witness;
     std::string gxb = stable.gamma + stable.body + stable.beta;
     if (!SomeInfixInLanguage(target, gxb)) {
       if (TryCandidate(target, FourLeggedCase1Gadget(stable), mirrored,

@@ -1,11 +1,59 @@
 #include "lang/four_legged.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "util/check.h"
-#include "util/strings.h"
 
 namespace rpqres {
+
+namespace {
+
+// The BFS tree of shortest non-empty words read from `root` in `a`.
+struct WordTree {
+  static constexpr int kUnseen = -2;
+  static constexpr int kRoot = -1;  // parent of states one letter from root
+
+  WordTree(const Dfa& a, int root)
+      : alphabet(a.alphabet()),
+        parent(a.num_states(), kUnseen),
+        letter(a.num_states(), 0) {
+    auto visit = [&](int from, int via) {
+      for (int s = 0; s < static_cast<int>(alphabet.size()); ++s) {
+        int to = a.NextByIndex(from, s);
+        if (to == kNoState || parent[to] != kUnseen) continue;
+        parent[to] = via;
+        letter[to] = s;
+        order.push_back(to);
+      }
+    };
+    visit(root, kRoot);
+    for (size_t i = 0; i < order.size(); ++i) visit(order[i], order[i]);
+  }
+
+  // The shortest non-empty word from the root to a state satisfying
+  // `goal`; one must exist.
+  template <typename Goal>
+  std::string ShortestWordTo(Goal goal) const {
+    for (int state : order) {
+      if (!goal(state)) continue;
+      std::string word;
+      for (;; state = parent[state]) {
+        word.insert(word.begin(), alphabet[letter[state]]);
+        if (parent[state] == kRoot) return word;
+      }
+    }
+    RPQRES_CHECK_MSG(false, "no state reached from the root meets the goal");
+    return "";
+  }
+
+  const std::vector<char>& alphabet;
+  std::vector<int> order;  // states reached by a non-empty word, by depth
+  std::vector<int> parent;
+  std::vector<int> letter;
+};
+
+}  // namespace
 
 bool SomeInfixInLanguage(const Language& lang, const std::string& word) {
   for (size_t start = 0; start <= word.size(); ++start) {
@@ -16,47 +64,100 @@ bool SomeInfixInLanguage(const Language& lang, const std::string& word) {
   return false;
 }
 
-std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang,
-                                                       int max_word_length) {
-  // Candidate words: all of L if finite, else all words up to the bound.
-  std::vector<std::string> words;
-  if (lang.IsFinite()) {
-    Result<std::vector<std::string>> r = lang.Words();
-    if (!r.ok()) return std::nullopt;  // astronomically many words
-    words = std::move(r).ValueOrDie();
-  } else {
-    Result<std::vector<std::string>> r = lang.WordsUpTo(max_word_length);
-    if (!r.ok()) return std::nullopt;
-    words = std::move(r).ValueOrDie();
+std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang) {
+  // Def 5.1 on the minimal DFA A = (Q, Σ, δ, q₀, F). With p = δ(q₀, αx) and
+  // q = δ(q₀, γx), L is four-legged iff for some letter x there are p, q in
+  // S_x = {δ(s, x) : s reached from q₀ by a non-empty word} such that p
+  // accepts some non-empty β and some non-empty δ-leg w has δ(q, w) ∈ F,
+  // δ(p, w) ∉ F. A multi-source BFS over pairs (p, q) from those seeds
+  // decides it in O(|Q|²·|Σ|) and yields the shortest δ-leg.
+  const Dfa& a = lang.min_dfa();
+  const int n = a.num_states();
+  const int k = static_cast<int>(a.alphabet().size());
+  const WordTree from_initial(a, a.initial());
+
+  // in_s[x][u]: u ∈ S_x.
+  std::vector<std::vector<bool>> in_s(k, std::vector<bool>(n, false));
+  for (int u : from_initial.order) {
+    for (int s = 0; s < k; ++s) {
+      int to = a.NextByIndex(u, s);
+      if (to != kNoState) in_s[s][to] = true;
+    }
+  }
+  // accepts[u]: some non-empty word is accepted from u.
+  std::vector<bool> accepts(n, false);
+  for (int u = 0; u < n; ++u) {
+    const WordTree tree(a, u);
+    for (int s : tree.order) accepts[u] = accepts[u] || a.IsFinal(s);
   }
 
-  std::optional<FourLeggedWitness> unstable;
-  for (const std::string& w1 : words) {
-    for (size_t i = 0; i < w1.size(); ++i) {
-      // Legs α, β non-empty: 1 <= i <= |w1|-2.
-      if (i == 0 || i + 1 >= w1.size()) continue;
-      char x = w1[i];
-      for (const std::string& w2 : words) {
-        for (size_t j = 0; j < w2.size(); ++j) {
-          if (w2[j] != x || j == 0 || j + 1 >= w2.size()) continue;
-          FourLeggedWitness witness;
-          witness.body = x;
-          witness.alpha = w1.substr(0, i);
-          witness.beta = w1.substr(i + 1);
-          witness.gamma = w2.substr(0, j);
-          witness.delta = w2.substr(j + 1);
-          std::string cross = witness.CrossWord();
-          if (lang.Contains(cross)) continue;
-          if (!SomeInfixInLanguage(lang, cross)) {
-            witness.stable = true;
-            return witness;  // prefer stable witnesses
-          }
-          if (!unstable) unstable = witness;
-        }
+  // Pair (p, q) is index p·n + q. parent[v] is the pair v was first reached
+  // from; from_seed[v] marks pairs reached in one letter from a seed, whose
+  // parent is then the seed itself (seeds are not marked visited: a seed
+  // may also satisfy the goal, but only after a non-empty word).
+  const size_t pairs = static_cast<size_t>(n) * n;
+  constexpr int32_t kUnvisited = -1;
+  std::vector<int32_t> parent(pairs, kUnvisited);
+  std::vector<bool> from_seed(pairs, false);
+  std::vector<int32_t> queue;
+  auto expand = [&](int32_t u, bool seed) {
+    for (int s = 0; s < k; ++s) {
+      int p2 = a.NextByIndex(u / n, s), q2 = a.NextByIndex(u % n, s);
+      if (p2 == kNoState || q2 == kNoState) continue;
+      int32_t v = p2 * n + q2;
+      if (parent[v] != kUnvisited) continue;
+      parent[v] = u;
+      from_seed[v] = seed;
+      queue.push_back(v);
+    }
+  };
+  for (int x = 0; x < k; ++x) {
+    for (int p = 0; p < n; ++p) {
+      if (!in_s[x][p] || !accepts[p]) continue;
+      for (int q = 0; q < n; ++q) {
+        if (in_s[x][q] && q != p) expand(p * n + q, /*seed=*/true);
       }
     }
   }
-  return unstable;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    int32_t v = queue[head];
+    if (a.IsFinal(v / n) || !a.IsFinal(v % n)) {
+      expand(v, /*seed=*/false);
+      continue;
+    }
+    // Found: walk back to the seed, spelling the δ-leg.
+    std::string delta;
+    for (bool at_seed = false; !at_seed;) {
+      int32_t u = parent[v];
+      for (int s = 0; s < k; ++s) {
+        if (a.NextByIndex(u / n, s) == v / n &&
+            a.NextByIndex(u % n, s) == v % n) {
+          delta.insert(delta.begin(), a.alphabet()[s]);
+          break;
+        }
+      }
+      at_seed = from_seed[v];
+      v = u;
+    }
+    const int p = v / n, q = v % n;
+    int x = 0;
+    while (!(in_s[x][p] && in_s[x][q])) ++x;
+    // The shortest non-empty leg ending where the body letter leads to
+    // `target` (α for p, γ for q).
+    auto leg_into = [&](int target) {
+      return from_initial.ShortestWordTo(
+          [&](int s) { return a.NextByIndex(s, x) == target; });
+    };
+    FourLeggedWitness witness;
+    witness.body = a.alphabet()[x];
+    witness.alpha = leg_into(p);
+    witness.gamma = leg_into(q);
+    witness.beta = WordTree(a, p).ShortestWordTo(
+        [&](int s) { return a.IsFinal(s); });
+    witness.delta = std::move(delta);
+    return MakeStableLegs(lang, witness);
+  }
+  return std::nullopt;
 }
 
 FourLeggedWitness MakeStableLegs(const Language& lang,

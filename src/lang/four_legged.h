@@ -4,7 +4,9 @@
 // non-empty legs α, β, γ, δ with αxβ ∈ L, γxδ ∈ L, αxδ ∉ L (Def 5.1).
 // Theorem 5.3 shows RES_set(L) is NP-hard for such L; Lemma 5.5 shows legs
 // can be chosen *stable* (no infix of αxδ in L), which is what the gadget
-// constructions of Figures 5–6 consume.
+// constructions of Figures 5–6 consume. Four-leggedness is decided on the
+// minimal DFA, not by listing words, so every non-star-free infix-free
+// language is caught too (Lemma 5.6).
 
 #ifndef RPQRES_LANG_FOUR_LEGGED_H_
 #define RPQRES_LANG_FOUR_LEGGED_H_
@@ -34,12 +36,11 @@ struct FourLeggedWitness {
   std::string CrossWord() const { return alpha + body + delta; }
 };
 
-/// Searches for a four-legged witness of the *infix-free* language `lang`.
-/// Exhaustive (hence exact) for finite languages; for infinite languages
-/// the search scans words up to `max_word_length` (sound but incomplete —
-/// a nullopt answer is then only "not found").
-std::optional<FourLeggedWitness> FindFourLeggedWitness(
-    const Language& lang, int max_word_length = 12);
+/// Decides whether the *infix-free* language `lang` is four-legged, exactly,
+/// in O(n²·|Σ|) time and O(n²) space on its n-state minimal DFA. Returns a
+/// stable witness (already passed through MakeStableLegs), or nullopt iff
+/// `lang` is not four-legged.
+std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang);
 
 /// Upgrades any witness to one with stable legs (Lemma 5.5). The input
 /// language must be infix-free.

@@ -252,8 +252,6 @@ std::string CompareIndexes(const GraphDb& restored_db,
 ChaosHarness::ChaosHarness(ChaosOptions options)
     : options_([&options] {
         options.engine.max_exact_search_nodes = options.max_exact_search_nodes;
-        options.engine.max_word_length =
-            options.workload.classify_max_word_length;
         return std::move(options);
       }()),
       engine_(options_.engine) {}

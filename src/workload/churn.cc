@@ -79,10 +79,6 @@ std::string CompareIndexes(const GraphDb& versioned_db,
 ChurnHarness::ChurnHarness(ChurnOptions options)
     : options_([&options] {
         options.engine.max_exact_search_nodes = options.max_exact_search_nodes;
-        // Match generation-side classification cost control (see the
-        // differential oracle).
-        options.engine.max_word_length =
-            options.workload.classify_max_word_length;
         return std::move(options);
       }()),
       engine_(options_.engine) {}

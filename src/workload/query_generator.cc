@@ -233,14 +233,13 @@ bool MatchesQueryClass(QueryClass target,
 }
 
 Result<GeneratedQuery> GenerateQuery(Rng* rng, QueryClass target,
-                                     int max_attempts, int max_word_length) {
+                                     int max_attempts) {
   std::string last_rejected;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     std::string candidate = CandidateFor(rng, target);
     Result<Language> lang = Language::FromRegexString(candidate);
     if (!lang.ok()) continue;  // a mutation produced invalid syntax
-    Result<Classification> classification =
-        ClassifyResilience(*lang, max_word_length);
+    Result<Classification> classification = ClassifyResilience(*lang);
     if (!classification.ok()) continue;
     if (MatchesQueryClass(target, *classification)) {
       GeneratedQuery out;

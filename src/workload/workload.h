@@ -30,9 +30,6 @@ struct WorkloadOptions {
   DbGenOptions db;
   /// Candidate budget for GenerateQuery.
   int max_query_attempts = 64;
-  /// Classifier four-legged witness-search bound during generation (see
-  /// GenerateQuery; the oracle also compiles queries with this bound).
-  int classify_max_word_length = 8;
 };
 
 /// One fully derived instance.

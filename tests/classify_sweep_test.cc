@@ -21,29 +21,14 @@
 #include "lang/repeated_letter.h"
 #include "resilience/exact.h"
 #include "resilience/resilience.h"
+#include "small_languages.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
 namespace rpqres {
 namespace {
 
-std::vector<std::string> AllWords() {
-  const std::vector<char> sigma = {'a', 'b', 'c'};
-  std::vector<std::string> words;
-  for (char x : sigma) words.push_back(std::string(1, x));
-  size_t one = words.size();
-  for (size_t i = 0; i < one; ++i) {
-    for (char x : sigma) words.push_back(words[i] + x);
-  }
-  size_t two = words.size();
-  for (size_t i = one; i < two; ++i) {
-    for (char x : sigma) words.push_back(words[i] + x);
-  }
-  return words;  // 3 + 9 + 27 = 39
-}
-
 TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
-  std::vector<std::string> words = AllWords();
   Rng rng(20260610);
   int counts[3] = {0, 0, 0};  // PTIME, NP-hard, unclassified
   int solver_checks = 0;
@@ -112,12 +97,7 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
     }
   };
 
-  for (size_t i = 0; i < words.size(); ++i) {
-    handle({words[i]});
-    for (size_t j = i + 1; j < words.size(); ++j) {
-      handle({words[i], words[j]});
-    }
-  }
+  ForEachSmallLanguage(handle);
 
   // The sweep covers all three columns of Figure 1 and actually ran the
   // sampled solver checks.

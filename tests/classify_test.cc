@@ -56,7 +56,15 @@ INSTANTIATE_TEST_SUITE_P(
         Fig1Case{"abc|bef", ComplexityClass::kUnclassified, "no paper"},
         Fig1Case{"ab*c|ba", ComplexityClass::kUnclassified, "no paper"},
         Fig1Case{"ab*d|ac*d|bc", ComplexityClass::kUnclassified,
-                 "no paper"}));
+                 "no paper"},
+        // Exact four-leggedness: a language whose shortest witness has 15
+        // letters, a non-star-free language (four-legged by Lem 5.6), and
+        // an infinite language proved not four-legged.
+        Fig1Case{"zy*(abcdefgxhijklm|nopqrstxuvw)", ComplexityClass::kNpHard,
+                 "four-legged"},
+        Fig1Case{"b(aaaaaaaaaaaaa)*d", ComplexityClass::kNpHard,
+                 "four-legged"},
+        Fig1Case{"f(c|e)*bb", ComplexityClass::kUnclassified, "no paper"}));
 
 TEST(ClassifierTest, TrivialLanguages) {
   Result<Classification> c =

@@ -51,7 +51,6 @@ SeededBatch BuildBatch(uint64_t base, int count) {
 EngineOptions WithThreads(int threads) {
   EngineOptions options;
   options.num_threads = threads;
-  options.max_word_length = 8;  // match the workload generation bound
   return options;
 }
 

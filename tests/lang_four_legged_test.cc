@@ -23,8 +23,9 @@ void ExpectValidWitness(const Language& lang,
 }
 
 TEST(FourLeggedTest, Example52Positive) {
-  // Example 5.2: axb|cxd and axb|cxd|cxb are four-legged.
-  for (const char* regex : {"axb|cxd", "axb|cxd|cxb"}) {
+  // Example 5.2: axb|cxd and axb|cxd|cxb are four-legged, and so is
+  // axb|axd|cxd, where a and c swap roles.
+  for (const char* regex : {"axb|cxd", "axb|cxd|cxb", "axb|axd|cxd"}) {
     Language lang = Language::MustFromRegexString(regex);
     std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
     ASSERT_TRUE(w.has_value()) << regex;

@@ -38,7 +38,6 @@ using serve::ShardedRegistry;
 EngineOptions OneThreadEngines() {
   EngineOptions options;
   options.num_threads = 1;
-  options.max_word_length = 8;
   return options;
 }
 

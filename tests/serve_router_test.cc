@@ -40,7 +40,6 @@ using workload::WorkloadInstance;
 EngineOptions ServeEngineOptions() {
   EngineOptions options;
   options.num_threads = 2;
-  options.max_word_length = 8;  // match the workload generation bound
   return options;
 }
 

@@ -46,7 +46,6 @@ constexpr int kCommits = 40;
 EngineOptions StressEngineOptions() {
   EngineOptions options;
   options.num_threads = 2;
-  options.max_word_length = 8;
   options.result_cache_capacity = 128;  // exercise version-keyed caching
   return options;
 }
