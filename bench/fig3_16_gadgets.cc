@@ -8,6 +8,7 @@
 // honest verdict.
 
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "gadgets/chain_cycle.h"
@@ -61,13 +62,14 @@ int main() {
 
   {  // Fig 5: Case 1, instantiated for axb|cxd via its stable legs.
     Language lang = Language::MustFromRegexString("axb|cxd");
-    auto witness = FindFourLeggedWitness(lang);
+    std::optional<FourLeggedWitness> witness = *FindFourLeggedWitness(lang);
     if (witness && witness->stable) {
       Report(&table, "Fig 5", "axb|cxd",
              FourLeggedCase1Gadget(*witness));
       // And for a wordier four-legged language.
       Language wide = Language::MustFromRegexString("abxcd|efxgh");
-      auto wide_witness = FindFourLeggedWitness(wide);
+      std::optional<FourLeggedWitness> wide_witness =
+          *FindFourLeggedWitness(wide);
       if (wide_witness && wide_witness->stable) {
         Report(&table, "Fig 5", "abxcd|efxgh",
                FourLeggedCase1Gadget(*wide_witness));
@@ -80,7 +82,7 @@ int main() {
   }
   {  // Fig 6: Case 2 candidates for axb|cxd|cxb.
     Language lang = Language::MustFromRegexString("axb|cxd|cxb");
-    auto witness = FindFourLeggedWitness(lang);
+    std::optional<FourLeggedWitness> witness = *FindFourLeggedWitness(lang);
     if (witness) {
       for (const PreGadget& candidate :
            FourLeggedCase2Candidates(*witness)) {

@@ -167,7 +167,8 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
     out.detail = "maximal-gap word " + (word ? word->word : "?");
     return out;
   }
-  std::optional<FourLeggedWitness> witness = FindFourLeggedWitness(ifl);
+  RPQRES_ASSIGN_OR_RETURN(std::optional<FourLeggedWitness> witness,
+                          FindFourLeggedWitness(ifl));
   if (witness) {
     out.complexity = ComplexityClass::kNpHard;
     out.rule = "four-legged language (Thm 5.3)";

@@ -43,6 +43,8 @@ struct Classification {
 };
 
 /// Classifies the resilience complexity of Q_L per the paper's results.
+/// Fails with OutOfRange when the four-legged test is reached on an IF(L)
+/// whose minimal DFA exceeds kMaxFourLeggedStates (lang/four_legged.h).
 Result<Classification> ClassifyResilience(const Language& lang);
 
 /// Ignored-argument overload kept for perfbench/; the next benchmark change

@@ -155,7 +155,8 @@ Result<Thm61Gadget> BuildThm61Gadget(const Language& lang) {
   for (bool mirrored : {false, true}) {
     const Language& target = mirrored ? mirror : ifl;
     // The witness comes with stable legs (Lem 5.5) already.
-    std::optional<FourLeggedWitness> witness = FindFourLeggedWitness(target);
+    RPQRES_ASSIGN_OR_RETURN(std::optional<FourLeggedWitness> witness,
+                            FindFourLeggedWitness(target));
     if (!witness) continue;
     const FourLeggedWitness& stable = *witness;
     std::string gxb = stable.gamma + stable.body + stable.beta;

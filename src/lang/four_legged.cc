@@ -1,6 +1,8 @@
 #include "lang/four_legged.h"
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "util/check.h"
@@ -9,7 +11,8 @@ namespace rpqres {
 
 namespace {
 
-// The BFS tree of shortest non-empty words read from `root` in `a`.
+// The BFS tree of shortest non-empty words read from `root` in the complete
+// DFA `a`.
 struct WordTree {
   static constexpr int kUnseen = -2;
   static constexpr int kRoot = -1;  // parent of states one letter from root
@@ -21,7 +24,7 @@ struct WordTree {
     auto visit = [&](int from, int via) {
       for (int s = 0; s < static_cast<int>(alphabet.size()); ++s) {
         int to = a.NextByIndex(from, s);
-        if (to == kNoState || parent[to] != kUnseen) continue;
+        if (parent[to] != kUnseen) continue;
         parent[to] = via;
         letter[to] = s;
         order.push_back(to);
@@ -64,7 +67,8 @@ bool SomeInfixInLanguage(const Language& lang, const std::string& word) {
   return false;
 }
 
-std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang) {
+Result<std::optional<FourLeggedWitness>> FindFourLeggedWitness(
+    const Language& lang) {
   // Def 5.1 on the minimal DFA A = (Q, Σ, δ, q₀, F). With p = δ(q₀, αx) and
   // q = δ(q₀, γx), L is four-legged iff for some letter x there are p, q in
   // S_x = {δ(s, x) : s reached from q₀ by a non-empty word} such that p
@@ -73,38 +77,53 @@ std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang) {
   // decides it in O(|Q|²·|Σ|) and yields the shortest δ-leg.
   const Dfa& a = lang.min_dfa();
   const int n = a.num_states();
+  if (n > kMaxFourLeggedStates) {
+    return Status::OutOfRange(
+        "four-legged test: minimal DFA of " + std::to_string(n) +
+        " states exceeds the cap of " + std::to_string(kMaxFourLeggedStates));
+  }
   const int k = static_cast<int>(a.alphabet().size());
   const WordTree from_initial(a, a.initial());
 
   // in_s[x][u]: u ∈ S_x.
   std::vector<std::vector<bool>> in_s(k, std::vector<bool>(n, false));
   for (int u : from_initial.order) {
-    for (int s = 0; s < k; ++s) {
-      int to = a.NextByIndex(u, s);
-      if (to != kNoState) in_s[s][to] = true;
-    }
+    for (int s = 0; s < k; ++s) in_s[s][a.NextByIndex(u, s)] = true;
   }
-  // accepts[u]: some non-empty word is accepted from u.
+  // accepts[u]: some non-empty word is accepted from u. A is complete and
+  // minimal, so every state but the dead sink (if any) reaches F, and u
+  // accepts a non-empty word iff one of its successors is not the sink.
+  int dead = kNoState;
+  for (int u = 0; u < n && dead == kNoState; ++u) {
+    bool sink = !a.IsFinal(u);
+    for (int s = 0; s < k && sink; ++s) sink = a.NextByIndex(u, s) == u;
+    if (sink) dead = u;
+  }
   std::vector<bool> accepts(n, false);
   for (int u = 0; u < n; ++u) {
-    const WordTree tree(a, u);
-    for (int s : tree.order) accepts[u] = accepts[u] || a.IsFinal(s);
+    for (int s = 0; s < k && !accepts[u]; ++s) {
+      accepts[u] = a.NextByIndex(u, s) != dead;
+    }
   }
 
-  // Pair (p, q) is index p·n + q. parent[v] is the pair v was first reached
-  // from; from_seed[v] marks pairs reached in one letter from a seed, whose
-  // parent is then the seed itself (seeds are not marked visited: a seed
-  // may also satisfy the goal, but only after a non-empty word).
-  const size_t pairs = static_cast<size_t>(n) * n;
-  constexpr int32_t kUnvisited = -1;
-  std::vector<int32_t> parent(pairs, kUnvisited);
+  // Pair (p, q) is index p·n + q, which the state cap keeps within Pair.
+  // parent[v] is the pair v was first reached from; from_seed[v] marks
+  // pairs reached in one letter from a seed, whose parent is then the seed
+  // itself (seeds are not marked visited: a seed may also satisfy the
+  // goal, but only after a non-empty word).
+  using Pair = int32_t;
+  static_assert(int64_t{kMaxFourLeggedStates} * kMaxFourLeggedStates <=
+                    std::numeric_limits<Pair>::max(),
+                "pair indices must fit in Pair");
+  const Pair pairs = static_cast<Pair>(n) * n;
+  constexpr Pair kUnvisited = -1;
+  std::vector<Pair> parent(pairs, kUnvisited);
   std::vector<bool> from_seed(pairs, false);
-  std::vector<int32_t> queue;
-  auto expand = [&](int32_t u, bool seed) {
+  std::vector<Pair> queue;
+  auto expand = [&](Pair u, bool seed) {
     for (int s = 0; s < k; ++s) {
-      int p2 = a.NextByIndex(u / n, s), q2 = a.NextByIndex(u % n, s);
-      if (p2 == kNoState || q2 == kNoState) continue;
-      int32_t v = p2 * n + q2;
+      Pair v = static_cast<Pair>(a.NextByIndex(u / n, s)) * n +
+               a.NextByIndex(u % n, s);
       if (parent[v] != kUnvisited) continue;
       parent[v] = u;
       from_seed[v] = seed;
@@ -115,12 +134,13 @@ std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang) {
     for (int p = 0; p < n; ++p) {
       if (!in_s[x][p] || !accepts[p]) continue;
       for (int q = 0; q < n; ++q) {
-        if (in_s[x][q] && q != p) expand(p * n + q, /*seed=*/true);
+        if (!in_s[x][q] || q == p) continue;
+        expand(static_cast<Pair>(p) * n + q, /*seed=*/true);
       }
     }
   }
   for (size_t head = 0; head < queue.size(); ++head) {
-    int32_t v = queue[head];
+    Pair v = queue[head];
     if (a.IsFinal(v / n) || !a.IsFinal(v % n)) {
       expand(v, /*seed=*/false);
       continue;
@@ -128,7 +148,7 @@ std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang) {
     // Found: walk back to the seed, spelling the δ-leg.
     std::string delta;
     for (bool at_seed = false; !at_seed;) {
-      int32_t u = parent[v];
+      Pair u = parent[v];
       for (int s = 0; s < k; ++s) {
         if (a.NextByIndex(u / n, s) == v / n &&
             a.NextByIndex(u % n, s) == v % n) {
@@ -155,9 +175,9 @@ std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang) {
     witness.beta = WordTree(a, p).ShortestWordTo(
         [&](int s) { return a.IsFinal(s); });
     witness.delta = std::move(delta);
-    return MakeStableLegs(lang, witness);
+    return std::optional<FourLeggedWitness>(MakeStableLegs(lang, witness));
   }
-  return std::nullopt;
+  return std::optional<FourLeggedWitness>();
 }
 
 FourLeggedWitness MakeStableLegs(const Language& lang,

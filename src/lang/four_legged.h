@@ -15,8 +15,14 @@
 #include <string>
 
 #include "lang/language.h"
+#include "util/status.h"
 
 namespace rpqres {
+
+/// The largest minimal DFA, in states, that FindFourLeggedWitness decides.
+/// Its pair search holds a parent index and a queue slot per state pair,
+/// up to 8·n² bytes: about 32 MiB at this cap.
+inline constexpr int kMaxFourLeggedStates = 2048;
 
 /// A witness that L is four-legged: αxβ ∈ L, γxδ ∈ L, αxδ ∉ L, all legs
 /// non-empty. If `stable`, additionally no infix of αxδ is in L (Def 5.4).
@@ -39,8 +45,10 @@ struct FourLeggedWitness {
 /// Decides whether the *infix-free* language `lang` is four-legged, exactly,
 /// in O(n²·|Σ|) time and O(n²) space on its n-state minimal DFA. Returns a
 /// stable witness (already passed through MakeStableLegs), or nullopt iff
-/// `lang` is not four-legged.
-std::optional<FourLeggedWitness> FindFourLeggedWitness(const Language& lang);
+/// `lang` is not four-legged. Fails with OutOfRange when n exceeds
+/// kMaxFourLeggedStates.
+Result<std::optional<FourLeggedWitness>> FindFourLeggedWitness(
+    const Language& lang);
 
 /// Upgrades any witness to one with stable legs (Lemma 5.5). The input
 /// language must be infix-free.

@@ -74,7 +74,7 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
         // Finite NP-hard verdicts must be justified by Thm 6.1, Thm 5.3,
         // or a known gadget language.
         EXPECT_TRUE(HasRepeatedLetterWord(ifl) ||
-                    FindFourLeggedWitness(ifl).has_value() ||
+                    FindFourLeggedWitness(ifl)->has_value() ||
                     c->rule.find("Prp 7.4") != std::string::npos ||
                     c->rule.find("Prp 7.11") != std::string::npos)
             << lang.description() << " via " << c->rule;
@@ -90,7 +90,7 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
         EXPECT_FALSE(IsBipartiteChainLanguage(ifl)) << lang.description();
         EXPECT_FALSE(IsOneDanglingOrMirror(ifl)) << lang.description();
         EXPECT_FALSE(HasRepeatedLetterWord(ifl)) << lang.description();
-        EXPECT_FALSE(FindFourLeggedWitness(ifl).has_value())
+        EXPECT_FALSE(FindFourLeggedWitness(ifl)->has_value())
             << lang.description();
         break;
       }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "classify/classifier.h"
+#include "lang/four_legged.h"
 #include "lang/language.h"
 
 namespace rpqres {
@@ -121,6 +122,29 @@ TEST(ClassifierTest, NeutralLetterDichotomy) {
       Language::MustFromRegexString("e*(a|c)e*(a|d)e*"));
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->complexity, ComplexityClass::kNpHard) << c->rule;
+}
+
+TEST(ClassifierTest, FourLeggedTestFailsCleanlyAboveItsStateCap) {
+  // c(a|b)*a(a|b)^k c is infix-free, and its minimal DFA remembers the last
+  // k+1 letters: 2^(k+1)+3 states. Just under the cap it is four-legged;
+  // just over it, classification fails with OutOfRange instead of growing
+  // the pair search quadratically.
+  auto language = [](int k) {
+    std::string regex = "c(a|b)*a";
+    for (int i = 0; i < k; ++i) regex += "(a|b)";
+    return Language::MustFromRegexString(regex + "c");
+  };
+  int k = 1;
+  while (language(k + 1).min_dfa().num_states() <= kMaxFourLeggedStates) ++k;
+
+  Result<Classification> below = ClassifyResilience(language(k));
+  ASSERT_TRUE(below.ok()) << below.status();
+  EXPECT_EQ(below->complexity, ComplexityClass::kNpHard);
+  EXPECT_NE(below->rule.find("four-legged"), std::string::npos) << below->rule;
+
+  Result<Classification> above = ClassifyResilience(language(k + 1));
+  ASSERT_FALSE(above.ok());
+  EXPECT_EQ(above.status().code(), StatusCode::kOutOfRange) << above.status();
 }
 
 TEST(ClassifierTest, ReportRendering) {

@@ -81,7 +81,7 @@ TEST(PaperGadgetTest, AllTranscribedGadgetsVerify) {
 TEST(PaperGadgetTest, Case1GadgetForStableWitnesses) {
   for (const char* regex : {"axb|cxd", "abxcd|efxgh", "be*c|de*f"}) {
     Language lang = Language::MustFromRegexString(regex);
-    std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
+    std::optional<FourLeggedWitness> w = *FindFourLeggedWitness(lang);
     ASSERT_TRUE(w && w->stable) << regex;
     // Case 1 applies when no infix of γxβ is in L.
     std::string gxb = w->gamma + w->body + w->beta;
@@ -98,7 +98,7 @@ TEST(PaperGadgetTest, Case2CycleGadget) {
   // Case 2 languages: some infix of γxβ is in L.
   for (const char* regex : {"axb|cxd|cxb", "abxcd|efxgh|efxcd"}) {
     Language lang = Language::MustFromRegexString(regex);
-    std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
+    std::optional<FourLeggedWitness> w = *FindFourLeggedWitness(lang);
     ASSERT_TRUE(w.has_value()) << regex;
     ASSERT_TRUE(SomeInfixInLanguage(lang, w->gamma + w->body + w->beta))
         << regex;

@@ -59,7 +59,7 @@ struct CrossCheckCounts {
 void CrossCheck(const Language& ifl, const std::string& name,
                 CrossCheckCounts* counts) {
   ++counts->languages;
-  std::optional<FourLeggedWitness> witness = FindFourLeggedWitness(ifl);
+  std::optional<FourLeggedWitness> witness = *FindFourLeggedWitness(ifl);
   if (witness) {
     ++counts->four_legged;
     EXPECT_FALSE(witness->alpha.empty() || witness->beta.empty() ||

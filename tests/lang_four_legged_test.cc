@@ -27,7 +27,7 @@ TEST(FourLeggedTest, Example52Positive) {
   // axb|axd|cxd, where a and c swap roles.
   for (const char* regex : {"axb|cxd", "axb|cxd|cxb", "axb|axd|cxd"}) {
     Language lang = Language::MustFromRegexString(regex);
-    std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
+    std::optional<FourLeggedWitness> w = *FindFourLeggedWitness(lang);
     ASSERT_TRUE(w.has_value()) << regex;
     ExpectValidWitness(lang, *w);
   }
@@ -37,7 +37,8 @@ TEST(FourLeggedTest, Example52Negative) {
   // Example 5.2: aa and ab|bc are non-local but NOT four-legged.
   for (const char* regex : {"aa", "ab|bc"}) {
     EXPECT_FALSE(
-        FindFourLeggedWitness(Language::MustFromRegexString(regex)))
+        FindFourLeggedWitness(Language::MustFromRegexString(regex))
+            ->has_value())
         << regex;
   }
 }
@@ -45,7 +46,8 @@ TEST(FourLeggedTest, Example52Negative) {
 TEST(FourLeggedTest, LocalLanguagesNeverFourLegged) {
   for (const char* regex : {"ax*b", "ab|ad|cd", "abc|abd"}) {
     EXPECT_FALSE(
-        FindFourLeggedWitness(Language::MustFromRegexString(regex)))
+        FindFourLeggedWitness(Language::MustFromRegexString(regex))
+            ->has_value())
         << regex;
   }
 }
@@ -53,16 +55,15 @@ TEST(FourLeggedTest, LocalLanguagesNeverFourLegged) {
 TEST(FourLeggedTest, InfiniteFourLegged) {
   // ax*b|cxd: witness a·x·b / c·x·d with cross a·x·d ∉ L.
   Language lang = Language::MustFromRegexString("ax*b|cxd");
-  std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
+  std::optional<FourLeggedWitness> w = *FindFourLeggedWitness(lang);
   ASSERT_TRUE(w.has_value());
   ExpectValidWitness(lang, *w);
 }
 
 TEST(FourLeggedTest, PreferredWitnessIsStable) {
-  // The search returns a stable witness when one exists at the scanned
-  // lengths (Lemma 5.5 guarantees existence).
+  // The exact test always returns a stable witness (Lemma 5.5).
   Language lang = Language::MustFromRegexString("axb|cxd");
-  std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
+  std::optional<FourLeggedWitness> w = *FindFourLeggedWitness(lang);
   ASSERT_TRUE(w.has_value());
   EXPECT_TRUE(w->stable);
   EXPECT_FALSE(SomeInfixInLanguage(lang, w->CrossWord()));
@@ -70,7 +71,7 @@ TEST(FourLeggedTest, PreferredWitnessIsStable) {
 
 TEST(FourLeggedTest, MakeStableLegsOnAlreadyStable) {
   Language lang = Language::MustFromRegexString("axb|cxd");
-  std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
+  std::optional<FourLeggedWitness> w = *FindFourLeggedWitness(lang);
   ASSERT_TRUE(w && w->stable);
   FourLeggedWitness stable = MakeStableLegs(lang, *w);
   EXPECT_TRUE(stable.stable);
@@ -112,7 +113,7 @@ class FourLeggedConsistencyTest
 
 TEST_P(FourLeggedConsistencyTest, WitnessIsValidWhenFound) {
   Language lang = Language::MustFromRegexString(GetParam());
-  std::optional<FourLeggedWitness> w = FindFourLeggedWitness(lang);
+  std::optional<FourLeggedWitness> w = *FindFourLeggedWitness(lang);
   if (w) {
     ExpectValidWitness(lang, *w);
     FourLeggedWitness stable = MakeStableLegs(lang, *w);

@@ -49,7 +49,7 @@ TEST(NeutralLetterTest, PaperExampleL1) {
   EXPECT_TRUE(ifl.EquivalentTo(
       Language::MustFromRegexString("be*c|de*f")));
   EXPECT_FALSE(IsLocal(ifl));
-  std::optional<FourLeggedWitness> witness = FindFourLeggedWitness(ifl);
+  std::optional<FourLeggedWitness> witness = *FindFourLeggedWitness(ifl);
   ASSERT_TRUE(witness.has_value());
   // No word of the form xx.
   for (char x : ifl.used_letters()) {
@@ -67,7 +67,7 @@ TEST(NeutralLetterTest, PaperExampleL2) {
       Language::MustFromRegexString("(a|c)e*(a|d)")));
   EXPECT_FALSE(IsLocal(ifl));
   EXPECT_TRUE(ifl.Contains("aa"));
-  EXPECT_FALSE(FindFourLeggedWitness(ifl).has_value());
+  EXPECT_FALSE(FindFourLeggedWitness(ifl)->has_value());
 }
 
 TEST(NeutralLetterTest, Lemma58Dichotomy) {
@@ -77,7 +77,7 @@ TEST(NeutralLetterTest, Lemma58Dichotomy) {
     Language lang = Language::MustFromRegexString(regex);
     Language ifl = InfixFreeSublanguage(lang);
     ASSERT_FALSE(IsLocal(ifl)) << regex;
-    bool four_legged = FindFourLeggedWitness(ifl).has_value();
+    bool four_legged = FindFourLeggedWitness(ifl)->has_value();
     bool has_xx = false;
     for (char x : ifl.used_letters()) {
       has_xx |= ifl.Contains(std::string(2, x));

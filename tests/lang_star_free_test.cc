@@ -66,7 +66,7 @@ TEST(StarFreeTest, Lemma56NonStarFreeImpliesFourLegged) {
     Language lang = Language::MustFromRegexString(regex);
     Language ifl = InfixFreeSublanguage(lang);
     ASSERT_FALSE(*IsStarFree(ifl)) << regex;
-    std::optional<FourLeggedWitness> witness = FindFourLeggedWitness(ifl);
+    std::optional<FourLeggedWitness> witness = *FindFourLeggedWitness(ifl);
     ASSERT_TRUE(witness.has_value()) << regex;
     EXPECT_TRUE(ifl.Contains(witness->FirstWord()));
     EXPECT_TRUE(ifl.Contains(witness->SecondWord()));
