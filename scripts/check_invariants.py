@@ -43,6 +43,14 @@ about, enforced over the source tree:
       src/classify/ or src/lang/four_legged.* would bring back an
       incomplete search and its length knob.
 
+  min-dfa-properties
+      Locality, neutral letters and repeated letters are read off the
+      minimal DFA. Language algebra (`Determinize(`, `MinimalDfa(`,
+      `Minimize(`, `AreEquivalent(`, `IsSubsetOf(`, `IntersectDfa(`,
+      `EnfaConcat(`) in src/lang/local.cc, neutral_letter.cc,
+      repeated_letter.cc or ro_enfa.cc would bring back a second
+      mechanism that builds automata to decide what the DFA already shows.
+
 Suppressions: a violating line is waived by `invariant-ok: <reason>`
 (optionally `invariant-ok(<rule>): <reason>`) in a comment on the same
 line or the line directly above. The reason is mandatory — an empty
@@ -88,6 +96,17 @@ SOLVER_FACT_ACCESS_RES = [
 
 # Bounded word listing, banned where four-leggedness is decided.
 WORDS_UP_TO_RE = re.compile(r"\bWordsUpTo\s*\(")
+
+# Language algebra, banned where a property is read off the minimal DFA.
+MIN_DFA_PROPERTY_FILES = {
+    "src/lang/local.cc",
+    "src/lang/neutral_letter.cc",
+    "src/lang/repeated_letter.cc",
+    "src/lang/ro_enfa.cc",
+}
+LANGUAGE_ALGEBRA_RE = re.compile(
+    r"\b(Determinize|MinimalDfa|Minimize|AreEquivalent|IsSubsetOf|"
+    r"IntersectDfa|EnfaConcat)\s*\(")
 
 # A mutation of a hand-kept `stats_` member (see one-counter-source).
 STATS_MUTATION_RE = re.compile(
@@ -139,6 +158,7 @@ def scan_file(rel_path: str, text: str):
     in_src = rel_path.startswith("src/")
     decides_four_legged = (rel_path.startswith("src/classify/") or
                            rel_path.startswith("src/lang/four_legged."))
+    reads_min_dfa = rel_path in MIN_DFA_PROPERTY_FILES
     is_annotation_header = rel_path.endswith("util/thread_annotations.h")
 
     def check(idx: int, rule: str, message: str):
@@ -183,6 +203,12 @@ def scan_file(rel_path: str, text: str):
             check(idx, "exact-four-legged",
                   "bounded word listing where four-leggedness is decided — "
                   "use the exact FindFourLeggedWitness on the minimal DFA")
+        if reads_min_dfa:
+            m = LANGUAGE_ALGEBRA_RE.search(line)
+            if m:
+                check(idx, "min-dfa-properties",
+                      f"{m.group(1)}( where a property is read off the "
+                      "minimal DFA — decide it on lang.min_dfa() directly")
         if TSA_OPTOUT in line and not is_annotation_header:
             # The opt-out demands a justification comment on its line or
             # the one above; reuse the suppression mechanism for that.
@@ -332,6 +358,41 @@ SELF_TEST_CASES = [
         # Other analyses may still list short words.
         "src/lang/one_dangling.cc",
         "  Result<std::vector<std::string>> short_words = lang.WordsUpTo(2);\n",
+        [],
+    ),
+    (
+        "src/lang/neutral_letter.cc",
+        "  Dfa inserted = MinimalDfa(InsertOne(dfa, e));\n"
+        "  if (!IsSubsetOf(inserted, dfa)) return false;\n",
+        [("min-dfa-properties", 1), ("min-dfa-properties", 2)],
+    ),
+    (
+        "src/lang/local.cc",
+        "  return AreEquivalent(Minimize(overapprox), lang.min_dfa());\n",
+        [("min-dfa-properties", 1)],
+    ),
+    (
+        "src/lang/repeated_letter.cc",
+        "  Dfa d = Determinize (EnfaConcat(x, y));\n"
+        "  bool empty = DfaIsEmptyLanguage(IntersectDfa(a, d));\n",
+        [("min-dfa-properties", 1), ("min-dfa-properties", 2)],
+    ),
+    (
+        # Reading the DFA is the point; other analyses may still build
+        # automata, and so may the reference tests.
+        "src/lang/ro_enfa.cc",
+        "  std::vector<bool> useful = UsefulStates(lang.min_dfa());\n"
+        "  if (!IsLocal(lang)) return Status::FailedPrecondition(msg);\n",
+        [],
+    ),
+    (
+        "src/lang/one_dangling.cc",
+        "  Dfa base_dfa = Minimize(DifferenceDfa(a, b));\n",
+        [],
+    ),
+    (
+        "tests/lang_reference_test.cc",
+        "  return AreEquivalent(Minimize(overapprox), lang.min_dfa());\n",
         [],
     ),
     (

@@ -508,10 +508,6 @@ bool AreEquivalent(const Dfa& a, const Dfa& b) {
   return IsSubsetOf(a, b) && IsSubsetOf(b, a);
 }
 
-namespace {
-
-// States of `a` that are both reachable from the initial state and
-// co-reachable to some final state.
 std::vector<bool> UsefulStates(const Dfa& a) {
   int n = a.num_states();
   std::vector<bool> reach(n, false), coreach(n, false);
@@ -557,8 +553,6 @@ std::vector<bool> UsefulStates(const Dfa& a) {
   for (int s = 0; s < n; ++s) useful[s] = reach[s] && coreach[s];
   return useful;
 }
-
-}  // namespace
 
 bool DfaIsFinite(const Dfa& a) {
   // Finite iff the useful part is acyclic.

@@ -95,6 +95,12 @@ bool AreEquivalent(const Dfa& a, const Dfa& b);
 /// True iff L(a) is finite.
 bool DfaIsFinite(const Dfa& a);
 
+/// useful[s]: state s of `a` is reachable from the initial state and
+/// co-reachable to some final state, i.e. lies on an accepting run. On a
+/// minimal complete DFA every state is reachable, and the one state that
+/// is not useful is the dead sink, if there is one.
+std::vector<bool> UsefulStates(const Dfa& a);
+
 /// Shortest accepted word (by length, ties broken lexicographically), or
 /// nullopt if the language is empty.
 std::optional<std::string> ShortestWord(const Dfa& a);

@@ -108,8 +108,10 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const TractableForm& form) {
   Classification out;
   out.finite = ifl.IsFinite();
+  // The words of a finite IF(L), listed once for every rule that reads them.
+  std::vector<std::string> words;
   if (out.finite) {
-    RPQRES_ASSIGN_OR_RETURN(std::vector<std::string> words, ifl.Words());
+    RPQRES_ASSIGN_OR_RETURN(words, ifl.Words());
     std::vector<std::string> shown;
     for (const std::string& w : words) shown.push_back(DisplayWord(w));
     out.if_language = shown.empty() ? "∅" : Join(shown, "|");
@@ -160,11 +162,10 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
   }
 
   // --- NP-hard side ---------------------------------------------------------
-  if (out.finite && HasRepeatedLetterWord(ifl)) {
-    std::optional<RepeatedLetterWord> word = FindMaximalGapWord(ifl);
+  if (std::optional<RepeatedLetterWord> word = FindMaximalGapWord(words)) {
     out.complexity = ComplexityClass::kNpHard;
     out.rule = "finite with repeated-letter word (Thm 6.1)";
-    out.detail = "maximal-gap word " + (word ? word->word : "?");
+    out.detail = "maximal-gap word " + word->word;
     return out;
   }
   RPQRES_ASSIGN_OR_RETURN(std::optional<FourLeggedWitness> witness,
@@ -192,17 +193,14 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
     }
   }
   if (out.finite) {
-    Result<std::vector<std::string>> words = ifl.Words();
-    if (words.ok()) {
-      for (const std::vector<std::string>& pattern : KnownHardWordSets()) {
-        if (MatchesUpToRenaming(*words, pattern)) {
-          out.complexity = ComplexityClass::kNpHard;
-          out.rule = pattern.size() == 3 && pattern[0] == "ab"
-                         ? "non-bipartite chain ab|bc|ca (Prp 7.4)"
-                         : "explicit gadget (Prp 7.11)";
-          out.detail = "matches " + Join(pattern, "|") + " up to renaming";
-          return out;
-        }
+    for (const std::vector<std::string>& pattern : KnownHardWordSets()) {
+      if (MatchesUpToRenaming(words, pattern)) {
+        out.complexity = ComplexityClass::kNpHard;
+        out.rule = pattern.size() == 3 && pattern[0] == "ab"
+                       ? "non-bipartite chain ab|bc|ca (Prp 7.4)"
+                       : "explicit gadget (Prp 7.11)";
+        out.detail = "matches " + Join(pattern, "|") + " up to renaming";
+        return out;
       }
     }
     // Non-bipartite chain languages beyond ab|bc|ca: the paper conjectures

@@ -1,10 +1,11 @@
 #include "gadgets/thm61.h"
 
+#include <vector>
+
 #include "gadgets/paper_gadgets.h"
 #include "lang/four_legged.h"
 #include "lang/infix_free.h"
 #include "lang/repeated_letter.h"
-#include "util/check.h"
 
 namespace rpqres {
 namespace {
@@ -26,14 +27,16 @@ bool TryCandidate(const Language& target, PreGadget gadget, bool mirrored,
   return false;
 }
 
-// The maximal-gap analysis for one orientation (ifl is L or its mirror).
-// Follows the proof of Thm 6.1 after the reduction to β = ε, but treats
-// the proof's case-excluding claims as *routing conditions* (verified
-// candidates) rather than assertions — the four-legged exits are tried by
-// the caller, so this function may legitimately fall through.
-bool TryMaximalGapRoutes(const Language& ifl, bool mirrored,
+// The maximal-gap analysis for one orientation (ifl is L or its mirror;
+// `words` lists its words). Follows the proof of Thm 6.1 after the
+// reduction to β = ε, but treats the proof's case-excluding claims as
+// *routing conditions* (verified candidates) rather than assertions — the
+// four-legged exits are tried by the caller, so this function may
+// legitimately fall through.
+bool TryMaximalGapRoutes(const Language& ifl,
+                         const std::vector<std::string>& words, bool mirrored,
                          Thm61Gadget* out, std::string* log) {
-  std::optional<RepeatedLetterWord> word = FindMaximalGapWord(ifl);
+  std::optional<RepeatedLetterWord> word = FindMaximalGapWord(words);
   if (!word || !word->beta().empty()) return false;  // wrong orientation
   const char a = word->letter;
   const std::string gamma = word->gamma();
@@ -140,12 +143,18 @@ Result<Thm61Gadget> BuildThm61Gadget(const Language& lang) {
 
   Thm61Gadget out;
   std::string log;
+  RPQRES_ASSIGN_OR_RETURN(std::vector<std::string> words, ifl.Words());
   Language mirror = ifl.Mirror();
+  RPQRES_ASSIGN_OR_RETURN(std::vector<std::string> mirror_words,
+                          mirror.Words());
 
   // Route 1: the maximal-gap analysis (Lem 6.6 and the overlap /
   // non-overlap subcases), in whichever orientation has β = ε.
-  if (TryMaximalGapRoutes(ifl, /*mirrored=*/false, &out, &log)) return out;
-  if (TryMaximalGapRoutes(mirror, /*mirrored=*/true, &out, &log)) {
+  if (TryMaximalGapRoutes(ifl, words, /*mirrored=*/false, &out, &log)) {
+    return out;
+  }
+  if (TryMaximalGapRoutes(mirror, mirror_words, /*mirrored=*/true, &out,
+                          &log)) {
     return out;
   }
 

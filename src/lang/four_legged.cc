@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "automata/ops.h"
 #include "util/check.h"
 
 namespace rpqres {
@@ -90,19 +91,13 @@ Result<std::optional<FourLeggedWitness>> FindFourLeggedWitness(
   for (int u : from_initial.order) {
     for (int s = 0; s < k; ++s) in_s[s][a.NextByIndex(u, s)] = true;
   }
-  // accepts[u]: some non-empty word is accepted from u. A is complete and
-  // minimal, so every state but the dead sink (if any) reaches F, and u
-  // accepts a non-empty word iff one of its successors is not the sink.
-  int dead = kNoState;
-  for (int u = 0; u < n && dead == kNoState; ++u) {
-    bool sink = !a.IsFinal(u);
-    for (int s = 0; s < k && sink; ++s) sink = a.NextByIndex(u, s) == u;
-    if (sink) dead = u;
-  }
+  // accepts[u]: some non-empty word is accepted from u, i.e. one of u's
+  // successors is useful (every state of A is reachable).
+  const std::vector<bool> useful = UsefulStates(a);
   std::vector<bool> accepts(n, false);
   for (int u = 0; u < n; ++u) {
     for (int s = 0; s < k && !accepts[u]; ++s) {
-      accepts[u] = a.NextByIndex(u, s) != dead;
+      accepts[u] = useful[a.NextByIndex(u, s)];
     }
   }
 

@@ -14,9 +14,17 @@ Language::Language(Enfa enfa, Dfa min_dfa, std::string description)
     : enfa_(std::move(enfa)),
       min_dfa_(std::move(min_dfa)),
       description_(std::move(description)) {
-  // Letters occurring in words of L = labels on useful transitions of the
-  // trimmed automaton.
-  used_letters_ = EnfaTrim(DfaToEnfa(min_dfa_)).Alphabet();
+  // Letters occurring in words of L = labels of transitions between useful
+  // states. The alphabet is sorted, so the letters come out sorted.
+  std::vector<bool> useful = UsefulStates(min_dfa_);
+  for (size_t i = 0; i < min_dfa_.alphabet().size(); ++i) {
+    for (int s = 0; s < min_dfa_.num_states(); ++s) {
+      if (useful[s] && useful[min_dfa_.NextByIndex(s, static_cast<int>(i))]) {
+        used_letters_.push_back(min_dfa_.alphabet()[i]);
+        break;
+      }
+    }
+  }
 }
 
 Result<Language> Language::FromRegexString(const std::string& regex) {

@@ -1,63 +1,11 @@
 #include "lang/local.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "automata/ops.h"
 #include "util/check.h"
 
 namespace rpqres {
-namespace {
-
-// Accessible / co-accessible state masks of a (possibly partial) DFA.
-void ComputeReachability(const Dfa& a, std::vector<bool>* accessible,
-                         std::vector<bool>* coaccessible) {
-  int n = a.num_states();
-  accessible->assign(n, false);
-  coaccessible->assign(n, false);
-  if (n == 0) return;
-  std::queue<int> queue;
-  (*accessible)[a.initial()] = true;
-  queue.push(a.initial());
-  while (!queue.empty()) {
-    int s = queue.front();
-    queue.pop();
-    for (size_t i = 0; i < a.alphabet().size(); ++i) {
-      int to = a.NextByIndex(s, static_cast<int>(i));
-      if (to != kNoState && !(*accessible)[to]) {
-        (*accessible)[to] = true;
-        queue.push(to);
-      }
-    }
-  }
-  std::vector<std::vector<int>> rev(n);
-  for (int s = 0; s < n; ++s) {
-    for (size_t i = 0; i < a.alphabet().size(); ++i) {
-      int to = a.NextByIndex(s, static_cast<int>(i));
-      if (to != kNoState) rev[to].push_back(s);
-    }
-  }
-  for (int s = 0; s < n; ++s) {
-    if (a.IsFinal(s)) {
-      if (!(*coaccessible)[s]) {
-        (*coaccessible)[s] = true;
-        queue.push(s);
-      }
-    }
-  }
-  while (!queue.empty()) {
-    int s = queue.front();
-    queue.pop();
-    for (int from : rev[s]) {
-      if (!(*coaccessible)[from]) {
-        (*coaccessible)[from] = true;
-        queue.push(from);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 LocalProfile ComputeLocalProfile(const Language& lang) {
   const Dfa& a = lang.min_dfa();
@@ -65,41 +13,33 @@ LocalProfile ComputeLocalProfile(const Language& lang) {
   profile.letters = lang.used_letters();
   profile.contains_epsilon = lang.ContainsEpsilon();
 
-  std::vector<bool> accessible, coaccessible;
-  ComputeReachability(a, &accessible, &coaccessible);
-  if (a.num_states() == 0) return profile;
+  // Every state of the minimal DFA is reachable, so a transition lies on an
+  // accepting run iff its target is useful.
+  std::vector<bool> useful = UsefulStates(a);
 
-  // Σ_start: letters a with δ(q0, a) co-accessible.
+  // Σ_start: letters a with δ(q0, a) useful.
   for (char c : profile.letters) {
-    int to = a.Next(a.initial(), c);
-    if (to != kNoState && coaccessible[to]) {
-      profile.start_letters.push_back(c);
-    }
+    if (useful[a.Next(a.initial(), c)]) profile.start_letters.push_back(c);
   }
-  // Σ_end: letters a with some accessible p and δ(p, a) final.
+  // Σ_end: letters a with some p and δ(p, a) final.
   for (char c : profile.letters) {
     for (int p = 0; p < a.num_states(); ++p) {
-      if (!accessible[p]) continue;
-      int to = a.Next(p, c);
-      if (to != kNoState && a.IsFinal(to)) {
+      if (a.IsFinal(a.Next(p, c))) {
         profile.end_letters.push_back(c);
         break;
       }
     }
   }
   // Π: pairs (a, b) realized as consecutive letters of a word of L:
-  // accessible p, q = δ(p,a), r = δ(q,b) co-accessible.
+  // some p with δ(p, ab) useful.
   for (char c1 : profile.letters) {
     for (char c2 : profile.letters) {
-      bool found = false;
-      for (int p = 0; p < a.num_states() && !found; ++p) {
-        if (!accessible[p]) continue;
-        int q = a.Next(p, c1);
-        if (q == kNoState) continue;
-        int r = a.Next(q, c2);
-        if (r != kNoState && coaccessible[r]) found = true;
+      for (int p = 0; p < a.num_states(); ++p) {
+        if (useful[a.Next(a.Next(p, c1), c2)]) {
+          profile.pairs.push_back({c1, c2});
+          break;
+        }
       }
-      if (found) profile.pairs.push_back({c1, c2});
     }
   }
   return profile;
@@ -125,25 +65,18 @@ Dfa LocalOverapproximationDfa(const LocalProfile& profile) {
   return a;
 }
 
-bool IsLocal(const Language& lang) {
-  LocalProfile profile = ComputeLocalProfile(lang);
-  Dfa overapprox = LocalOverapproximationDfa(profile);
-  return AreEquivalent(Minimize(overapprox), lang.min_dfa());
-}
+bool IsLocal(const Language& lang) { return IsLocalDfa(lang.min_dfa()); }
 
 bool IsLocalDfa(const Dfa& dfa) {
-  // For each letter, all transitions must share their target. The check
-  // ignores transitions into non-co-accessible states only if the DFA is
-  // complete via a sink; to stay faithful to Def 3.1 we check the raw
-  // transition table restricted to useful states.
-  std::vector<bool> accessible, coaccessible;
-  ComputeReachability(dfa, &accessible, &coaccessible);
+  // Def 3.1 on the useful part: for each letter, all transitions between
+  // useful states share their target.
+  std::vector<bool> useful = UsefulStates(dfa);
   for (size_t i = 0; i < dfa.alphabet().size(); ++i) {
     int target = kNoState;
     for (int s = 0; s < dfa.num_states(); ++s) {
-      if (!accessible[s] || !coaccessible[s]) continue;
+      if (!useful[s]) continue;
       int to = dfa.NextByIndex(s, static_cast<int>(i));
-      if (to == kNoState || !coaccessible[to]) continue;
+      if (to == kNoState || !useful[to]) continue;
       if (target == kNoState) {
         target = to;
       } else if (target != to) {

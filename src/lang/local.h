@@ -2,9 +2,11 @@
 //
 // A language is local iff it is recognized by a local DFA (all a-transitions
 // share their target, Def 3.1), iff it is letter-Cartesian (Def 3.3,
-// Prp 3.5). Locality of L(A) is tested by building the local
-// overapproximation (Def 3.8) and checking equivalence (Prp 3.12,
-// Claim 3.11).
+// Prp 3.5). Locality is read off the minimal DFA: in a local DFA every
+// useful a-transition enters q_a, so every useful a-transition of the
+// minimal DFA enters the one state whose residual is L(q_a); conversely a
+// trimmed DFA with one a-target per letter is a local DFA. The local
+// overapproximation (Def 3.8) is kept for the RO-εNFA construction.
 
 #ifndef RPQRES_LANG_LOCAL_H_
 #define RPQRES_LANG_LOCAL_H_
@@ -35,12 +37,14 @@ LocalProfile ComputeLocalProfile(const Language& lang);
 /// L(A) ⊇ L (Claim 3.9).
 Dfa LocalOverapproximationDfa(const LocalProfile& profile);
 
-/// Locality test (Prp 3.12 / Claim 3.11): L is local iff its local
-/// overapproximation recognizes exactly L.
+/// Locality test: L is local iff its minimal DFA, restricted to useful
+/// states, is a local DFA (IsLocalDfa). Equivalently (Prp 3.12 /
+/// Claim 3.11), iff the local overapproximation recognizes exactly L.
 bool IsLocal(const Language& lang);
 
-/// Checks whether a specific DFA is a *local DFA* (Def 3.1): for each
-/// letter, all transitions on that letter share the same target.
+/// Checks whether a specific DFA is a *local DFA* (Def 3.1) on its useful
+/// part: for each letter, all transitions on that letter between useful
+/// states share the same target.
 bool IsLocalDfa(const Dfa& dfa);
 
 /// Direct letter-Cartesian check (Def 3.3) for an explicit finite language;

@@ -1,61 +1,19 @@
 #include "lang/neutral_letter.h"
 
-#include "automata/ops.h"
-
 namespace rpqres {
-namespace {
-
-// NFA for { αeβ : αβ ∈ L }: two phases of the DFA for L with a bridging
-// e-transition (q,0) -e-> (q,1).
-Enfa InsertOne(const Dfa& dfa, char e) {
-  Enfa out;
-  int n = dfa.num_states();
-  out.AddStates(2 * n);
-  for (int s = 0; s < n; ++s) {
-    for (size_t i = 0; i < dfa.alphabet().size(); ++i) {
-      int to = dfa.NextByIndex(s, static_cast<int>(i));
-      if (to == kNoState) continue;
-      out.AddTransition(s, dfa.alphabet()[i], to);          // phase 0
-      out.AddTransition(n + s, dfa.alphabet()[i], n + to);  // phase 1
-    }
-    out.AddTransition(s, e, n + s);  // the inserted occurrence of e
-    if (dfa.IsFinal(s)) out.AddFinal(n + s);
-  }
-  if (n > 0) out.AddInitial(dfa.initial());
-  return out;
-}
-
-// NFA for { αβ : αeβ ∈ L }: two phases with an ε-jump that simulates
-// reading e in the DFA: (q,0) -ε-> (δ(q,e),1).
-Enfa DeleteOne(const Dfa& dfa, char e) {
-  Enfa out;
-  int n = dfa.num_states();
-  out.AddStates(2 * n);
-  for (int s = 0; s < n; ++s) {
-    for (size_t i = 0; i < dfa.alphabet().size(); ++i) {
-      int to = dfa.NextByIndex(s, static_cast<int>(i));
-      if (to == kNoState) continue;
-      out.AddTransition(s, dfa.alphabet()[i], to);
-      out.AddTransition(n + s, dfa.alphabet()[i], n + to);
-    }
-    int via_e = dfa.Next(s, e);
-    if (via_e != kNoState) out.AddTransition(s, kEpsilonSymbol, n + via_e);
-    if (dfa.IsFinal(s)) out.AddFinal(n + s);
-  }
-  if (n > 0) out.AddInitial(dfa.initial());
-  return out;
-}
-
-}  // namespace
 
 bool IsNeutralLetter(const Language& lang, char e) {
+  // e is neutral iff α⁻¹L = (αe)⁻¹L for every α. The minimal DFA has one
+  // state per residual and every state is reachable, so that is δ(q, e) = q
+  // for every state q. A letter outside the alphabet leads every word out
+  // of L, which keeps the residuals only when L = ∅.
   const Dfa& dfa = lang.min_dfa();
-  // Insertion direction: αβ ∈ L ⇒ αeβ ∈ L, i.e. Ins_e(L) ⊆ L.
-  Dfa inserted = MinimalDfa(InsertOne(dfa, e));
-  if (!IsSubsetOf(inserted, dfa)) return false;
-  // Deletion direction: αeβ ∈ L ⇒ αβ ∈ L, i.e. Del_e(L) ⊆ L.
-  Dfa deleted = MinimalDfa(DeleteOne(dfa, e));
-  return IsSubsetOf(deleted, dfa);
+  int e_index = dfa.SymbolIndex(e);
+  if (e_index < 0) return lang.IsEmpty();
+  for (int q = 0; q < dfa.num_states(); ++q) {
+    if (dfa.NextByIndex(q, e_index) != q) return false;
+  }
+  return true;
 }
 
 std::vector<char> NeutralLetters(const Language& lang) {

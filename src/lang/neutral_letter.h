@@ -14,8 +14,8 @@
 namespace rpqres {
 
 /// True iff `e` is a neutral letter of L: L is closed under inserting `e`
-/// at any position and under deleting any occurrence of `e`. Decided with
-/// two automaton inclusion checks.
+/// at any position and under deleting any occurrence of `e`. Decided on
+/// the minimal DFA: every state loops on `e`.
 bool IsNeutralLetter(const Language& lang, char e);
 
 /// All neutral letters among the used letters of L.

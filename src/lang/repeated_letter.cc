@@ -1,46 +1,48 @@
 #include "lang/repeated_letter.h"
 
+#include <vector>
+
 #include "automata/ops.h"
-#include "automata/thompson.h"
-#include "util/check.h"
 
 namespace rpqres {
-namespace {
-
-// εNFA for Σ* a Σ* a Σ* over the used alphabet of `lang`.
-Enfa TwoOccurrences(char a, const std::vector<char>& sigma) {
-  Enfa sigma_star = EnfaSigmaStar(sigma);
-  Enfa letter = EnfaFromWord(std::string(1, a));
-  return EnfaConcat(
-      EnfaConcat(EnfaConcat(EnfaConcat(sigma_star, letter), sigma_star),
-                 letter),
-      sigma_star);
-}
-
-}  // namespace
 
 bool HasRepeatedLetterWord(const Language& lang) {
-  for (char a : lang.used_letters()) {
-    Dfa pattern = MinimalDfa(TwoOccurrences(a, lang.used_letters()));
-    if (!DfaIsEmptyLanguage(IntersectDfa(lang.min_dfa(), pattern))) {
-      return true;
+  // Some word βaγaδ ∈ L iff, for some letter a, a useful a-transition
+  // p -a-> p' reaches the source r of a useful a-transition r -a-> r'
+  // (p' = r allowed). Paths between useful states stay useful, so one
+  // multi-source DFS over the useful states per letter decides it.
+  const Dfa& a = lang.min_dfa();
+  const int n = a.num_states();
+  std::vector<bool> useful = UsefulStates(a);
+  for (int letter = 0; letter < static_cast<int>(a.alphabet().size());
+       ++letter) {
+    // second_a[s]: s is useful and has a useful a-successor.
+    std::vector<bool> second_a(n, false), seen(n, false);
+    std::vector<int> stack;
+    for (int s = 0; s < n; ++s) {
+      if (!useful[s]) continue;
+      int to = a.NextByIndex(s, letter);
+      if (!useful[to]) continue;
+      second_a[s] = true;
+      if (!seen[to]) {
+        seen[to] = true;
+        stack.push_back(to);
+      }
+    }
+    while (!stack.empty()) {
+      int s = stack.back();
+      stack.pop_back();
+      if (second_a[s]) return true;
+      for (int i = 0; i < static_cast<int>(a.alphabet().size()); ++i) {
+        int to = a.NextByIndex(s, i);
+        if (useful[to] && !seen[to]) {
+          seen[to] = true;
+          stack.push_back(to);
+        }
+      }
     }
   }
   return false;
-}
-
-std::optional<std::string> ShortestRepeatedLetterWord(const Language& lang) {
-  std::optional<std::string> best;
-  for (char a : lang.used_letters()) {
-    Dfa pattern = MinimalDfa(TwoOccurrences(a, lang.used_letters()));
-    std::optional<std::string> word =
-        ShortestWord(IntersectDfa(lang.min_dfa(), pattern));
-    if (word && (!best || word->size() < best->size() ||
-                 (word->size() == best->size() && *word < *best))) {
-      best = word;
-    }
-  }
-  return best;
 }
 
 std::optional<RepeatedLetterWord> BestRepeatInWord(const std::string& word) {
@@ -69,14 +71,6 @@ std::optional<RepeatedLetterWord> FindMaximalGapWord(
     }
   }
   return best;
-}
-
-std::optional<RepeatedLetterWord> FindMaximalGapWord(const Language& lang) {
-  Result<std::vector<std::string>> words = lang.Words();
-  RPQRES_CHECK_MSG(words.ok(),
-                   "FindMaximalGapWord requires a finite language: " +
-                       words.status().ToString());
-  return FindMaximalGapWord(*words);
 }
 
 }  // namespace rpqres

@@ -32,22 +32,18 @@ struct RepeatedLetterWord {
 };
 
 /// True iff some word of L (finite or infinite) repeats some letter,
-/// decided via the automaton: L ∩ Σ*aΣ*aΣ* ≠ ∅ for some letter a.
+/// decided on the minimal DFA: for some letter a, a useful a-transition
+/// reaches the source of a useful a-transition.
 bool HasRepeatedLetterWord(const Language& lang);
-
-/// Shortest word of L with a repeated letter, or nullopt.
-std::optional<std::string> ShortestRepeatedLetterWord(const Language& lang);
 
 /// Finds the positions of a repeated letter in `word` maximizing the gap;
 /// nullopt if all letters are distinct.
 std::optional<RepeatedLetterWord> BestRepeatInWord(const std::string& word);
 
-/// A maximal-gap word of a finite language (Def 6.4): maximize the gap γ
-/// between the repeated letters, then the total word length. Requires L
-/// finite; nullopt if no word has a repeated letter.
-std::optional<RepeatedLetterWord> FindMaximalGapWord(const Language& lang);
-
-/// Word-list variant of FindMaximalGapWord (for tests).
+/// A maximal-gap word (Def 6.4) among the words of a finite language, as
+/// listed by Language::Words(): maximize the gap γ between the repeated
+/// letters, then the total word length; ties keep the first word listed.
+/// nullopt iff no word repeats a letter.
 std::optional<RepeatedLetterWord> FindMaximalGapWord(
     const std::vector<std::string>& words);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "automata/ops.h"
 #include "lang/local.h"
 #include "util/check.h"
 
@@ -21,6 +20,14 @@ bool IsRoEnfa(const Enfa& a) {
 }
 
 Result<Enfa> BuildRoEnfa(const Language& lang) {
+  if (!IsLocal(lang)) {
+    return Status::FailedPrecondition(
+        "BuildRoEnfa: language " + lang.description() +
+        " is not local (RO-εNFAs recognize exactly the local languages, "
+        "Lemma 3.17)");
+  }
+  // The construction recognizes the local overapproximation of L
+  // (Claim 3.9/3.10), which equals L because L is local.
   LocalProfile profile = ComputeLocalProfile(lang);
   const std::vector<char>& letters = profile.letters;
 
@@ -50,14 +57,6 @@ Result<Enfa> BuildRoEnfa(const Language& lang) {
   for (char c : profile.end_letters) ro.AddFinal(out_state(c));
 
   RPQRES_DCHECK(IsRoEnfa(ro));
-  // The construction recognizes the local overapproximation of L
-  // (Claim 3.9/3.10); it equals L exactly when L is local.
-  if (!AreEquivalent(MinimalDfa(ro), lang.min_dfa())) {
-    return Status::FailedPrecondition(
-        "BuildRoEnfa: language " + lang.description() +
-        " is not local (RO-εNFAs recognize exactly the local languages, "
-        "Lemma 3.17)");
-  }
   return ro;
 }
 

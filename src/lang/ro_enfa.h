@@ -19,8 +19,9 @@ bool IsRoEnfa(const Enfa& a);
 
 /// Builds an RO-εNFA recognizing L (Lemma 3.17): ≤ 2|Σ|+1 states, built
 /// from the local profile of Definition 3.8. Fails with FailedPrecondition
-/// if L is not local (verified by an equivalence check, so this also serves
-/// as the "promise" check of Theorem 3.13's combined-complexity statement).
+/// if L is not local (checked first with IsLocal on the minimal DFA, so
+/// this also serves as the "promise" check of Theorem 3.13's
+/// combined-complexity statement).
 Result<Enfa> BuildRoEnfa(const Language& lang);
 
 }  // namespace rpqres

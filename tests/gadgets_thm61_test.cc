@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gadgets/thm61.h"
 #include "lang/infix_free.h"
 #include "lang/language.h"
@@ -77,6 +79,17 @@ TEST(Thm61PipelineTest, RequirementsEnforced) {
   // Trivial.
   EXPECT_EQ(BuildThm61Gadget(Language::FromWords({})).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(Thm61PipelineTest, TooManyWordsFailsCleanly) {
+  // (a|b|c|d)^11 is finite, infix-free and repeats letters, but its 4^11
+  // words exceed what Language::Words lists: an error, not an abort.
+  std::string regex;
+  for (int i = 0; i < 11; ++i) regex += "(a|b|c|d)";
+  EXPECT_EQ(BuildThm61Gadget(Language::MustFromRegexString(regex))
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(Thm61PipelineTest, ReconstructionGapsReportedAsNotFound) {

@@ -25,18 +25,6 @@ TEST(RepeatedLetterTest, Detection) {
   EXPECT_FALSE(HasRepeatedLetterWord(Language::FromWords({})));
 }
 
-TEST(RepeatedLetterTest, ShortestRepeatedWord) {
-  EXPECT_EQ(*ShortestRepeatedLetterWord(
-                Language::MustFromRegexString("abc|aa|abab")),
-            "aa");
-  EXPECT_EQ(*ShortestRepeatedLetterWord(
-                Language::MustFromRegexString("ax*b")),
-            "axxb");
-  EXPECT_EQ(ShortestRepeatedLetterWord(
-                Language::MustFromRegexString("abc")),
-            std::nullopt);
-}
-
 TEST(RepeatedLetterTest, BestRepeatInWord) {
   std::optional<RepeatedLetterWord> r = BestRepeatInWord("abcbd");
   ASSERT_TRUE(r.has_value());
@@ -69,7 +57,7 @@ TEST(RepeatedLetterTest, MaximalGapWordDefinition64) {
 
 TEST(RepeatedLetterTest, MaximalGapFromLanguage) {
   Language lang = Language::MustFromRegexString("abca|cab|aa");
-  std::optional<RepeatedLetterWord> m = FindMaximalGapWord(lang);
+  std::optional<RepeatedLetterWord> m = FindMaximalGapWord(*lang.Words());
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->word, "abca");
   EXPECT_EQ(m->letter, 'a');

@@ -1,7 +1,7 @@
 // Test helper: the exhaustive small-language corpus — every language of
 // one or two words of length <= 3 over {a, b, c} (39 + 741 = 780
-// languages). Shared by the classifier sweep and the four-legged
-// reference cross-check.
+// languages). Shared by the classifier sweep and the reference
+// cross-check of the minimal-DFA property tests.
 
 #ifndef RPQRES_TESTS_SMALL_LANGUAGES_H_
 #define RPQRES_TESTS_SMALL_LANGUAGES_H_
