@@ -44,12 +44,18 @@ about, enforced over the source tree:
       incomplete search and its length knob.
 
   min-dfa-properties
-      Locality, neutral letters and repeated letters are read off the
-      minimal DFA. Language algebra (`Determinize(`, `MinimalDfa(`,
-      `Minimize(`, `AreEquivalent(`, `IsSubsetOf(`, `IntersectDfa(`,
-      `EnfaConcat(`) in src/lang/local.cc, neutral_letter.cc,
-      repeated_letter.cc or ro_enfa.cc would bring back a second
-      mechanism that builds automata to decide what the DFA already shows.
+      Locality, neutral letters, repeated letters and one-danglingness
+      are read off the minimal DFA. Language algebra (`Determinize(`,
+      `MinimalDfa(`, `Minimize(`, `AreEquivalent(`, `IsSubsetOf(`,
+      `IntersectDfa(`, `EnfaConcat(`) in src/lang/local.cc,
+      neutral_letter.cc, repeated_letter.cc, ro_enfa.cc or
+      one_dangling.cc would bring back a second mechanism that builds
+      automata to decide what the DFA already shows. one_dangling.cc
+      also may not build L \ {xy} as a difference (`DifferenceDfa(`,
+      `EnfaFromWord(`) or search mirror(L) (`.Mirror(`): Def 7.8 is
+      symmetric under mirroring. The Prp 7.9 planner
+      (src/resilience/one_dangling_resilience.cc) reverses the base's
+      RO-εNFA instead of determinizing mirror(base) (`.Mirror(`).
 
 Suppressions: a violating line is waived by `invariant-ok: <reason>`
 (optionally `invariant-ok(<rule>): <reason>`) in a comment on the same
@@ -97,16 +103,26 @@ SOLVER_FACT_ACCESS_RES = [
 # Bounded word listing, banned where four-leggedness is decided.
 WORDS_UP_TO_RE = re.compile(r"\bWordsUpTo\s*\(")
 
-# Language algebra, banned where a property is read off the minimal DFA.
+# Language algebra, banned where a property is read off the minimal DFA:
+# per file, the calls it may not make and what to do instead.
+LANGUAGE_ALGEBRA = (r"\bDeterminize|\bMinimalDfa|\bMinimize|\bAreEquivalent|"
+                    r"\bIsSubsetOf|\bIntersectDfa|\bEnfaConcat")
+READ_THE_DFA = (re.compile(rf"({LANGUAGE_ALGEBRA})\s*\("),
+                "decide it on lang.min_dfa() directly")
 MIN_DFA_PROPERTY_FILES = {
-    "src/lang/local.cc",
-    "src/lang/neutral_letter.cc",
-    "src/lang/repeated_letter.cc",
-    "src/lang/ro_enfa.cc",
+    "src/lang/local.cc": READ_THE_DFA,
+    "src/lang/neutral_letter.cc": READ_THE_DFA,
+    "src/lang/repeated_letter.cc": READ_THE_DFA,
+    "src/lang/ro_enfa.cc": READ_THE_DFA,
+    "src/lang/one_dangling.cc": (
+        re.compile(rf"({LANGUAGE_ALGEBRA}|\bDifferenceDfa|\bEnfaFromWord|"
+                   r"\.Mirror)\s*\("),
+        "decide it on lang.min_dfa() directly; Def 7.8 is symmetric under "
+        "mirroring"),
+    "src/resilience/one_dangling_resilience.cc": (
+        re.compile(r"(\.Mirror)\s*\("),
+        "reverse the base's RO-εNFA (EnfaMirror) instead"),
 }
-LANGUAGE_ALGEBRA_RE = re.compile(
-    r"\b(Determinize|MinimalDfa|Minimize|AreEquivalent|IsSubsetOf|"
-    r"IntersectDfa|EnfaConcat)\s*\(")
 
 # A mutation of a hand-kept `stats_` member (see one-counter-source).
 STATS_MUTATION_RE = re.compile(
@@ -158,7 +174,7 @@ def scan_file(rel_path: str, text: str):
     in_src = rel_path.startswith("src/")
     decides_four_legged = (rel_path.startswith("src/classify/") or
                            rel_path.startswith("src/lang/four_legged."))
-    reads_min_dfa = rel_path in MIN_DFA_PROPERTY_FILES
+    min_dfa_banned = MIN_DFA_PROPERTY_FILES.get(rel_path)
     is_annotation_header = rel_path.endswith("util/thread_annotations.h")
 
     def check(idx: int, rule: str, message: str):
@@ -203,12 +219,13 @@ def scan_file(rel_path: str, text: str):
             check(idx, "exact-four-legged",
                   "bounded word listing where four-leggedness is decided — "
                   "use the exact FindFourLeggedWitness on the minimal DFA")
-        if reads_min_dfa:
-            m = LANGUAGE_ALGEBRA_RE.search(line)
+        if min_dfa_banned:
+            banned_re, instead = min_dfa_banned
+            m = banned_re.search(line)
             if m:
                 check(idx, "min-dfa-properties",
                       f"{m.group(1)}( where a property is read off the "
-                      "minimal DFA — decide it on lang.min_dfa() directly")
+                      f"minimal DFA — {instead}")
         if TSA_OPTOUT in line and not is_annotation_header:
             # The opt-out demands a justification comment on its line or
             # the one above; reuse the suppression mechanism for that.
@@ -387,7 +404,42 @@ SELF_TEST_CASES = [
     ),
     (
         "src/lang/one_dangling.cc",
-        "  Dfa base_dfa = Minimize(DifferenceDfa(a, b));\n",
+        "  Dfa base_dfa = Minimize(DifferenceDfa(a, b));\n"
+        "  Dfa diff = DifferenceDfa (lang.min_dfa(), word);\n"
+        "  Dfa word = MinimalDfa(EnfaFromWord(w));\n"
+        "  Enfa w = EnfaFromWord(\"xy\");\n"
+        "  return FindOneDanglingDecomposition(lang.Mirror());\n",
+        [
+            ("min-dfa-properties", 1),
+            ("min-dfa-properties", 2),
+            ("min-dfa-properties", 3),
+            ("min-dfa-properties", 4),
+            ("min-dfa-properties", 5),
+        ],
+    ),
+    (
+        # Cutting a run in a copy of the DFA is the point.
+        "src/lang/one_dangling.cc",
+        "  Dfa cut = a;\n"
+        "  cut.SetTransition(q0, x, a.Next(r, x));\n"
+        "  Language base = Language::FromDfa(cut);\n",
+        [],
+    ),
+    (
+        "src/resilience/one_dangling_resilience.cc",
+        "  if (d.y_in_base) flipped_base = d.base.Mirror ();\n"
+        "  Minimize(dfa);\n",
+        [("min-dfa-properties", 1)],
+    ),
+    (
+        # Reversing the RO-εNFA keeps it read-once; other solvers may mirror.
+        "src/resilience/one_dangling_resilience.cc",
+        "  if (plan.mirror_db) ro_base = EnfaMirror(ro_base);\n",
+        [],
+    ),
+    (
+        "src/resilience/resilience.cc",
+        "  Language mirror = ifl.Mirror();\n",
         [],
     ),
     (

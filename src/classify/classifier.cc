@@ -146,15 +146,12 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
       out.detail = "per-fact flow network with forward/reversed word wiring";
       return out;
     case TractableKind::kOneDangling: {
-      const OneDanglingDecomposition& decomposition =
-          form.one_dangling->decomposition;
+      const OneDanglingDecomposition& decomposition = *form.one_dangling;
       out.complexity = ComplexityClass::kPtime;
       out.rule = "one-dangling language (Prp 7.9)";
-      out.detail =
-          std::string(form.one_dangling->mirrored ? "mirror of L = " : "L = ") +
-          decomposition.base.description() + " ∪ {" +
-          std::string(1, decomposition.x) + std::string(1, decomposition.y) +
-          "}";
+      out.detail = "L = " + decomposition.base.description() + " ∪ {" +
+                   std::string(1, decomposition.x) +
+                   std::string(1, decomposition.y) + "}";
       return out;
     }
     case TractableKind::kNone:

@@ -3,7 +3,7 @@
 // Given a regular language, classifies the complexity of its resilience
 // problem using the paper's results, always on the infix-free sublanguage:
 //   PTIME:   local (Thm 3.13), bipartite chain (Prp 7.6),
-//            one-dangling / mirrored one-dangling (Prp 7.9 + Prp 6.3)
+//            one-dangling (Prp 7.9)
 //   NP-hard: four-legged (Thm 5.3), decided exactly on the minimal DFA;
 //            this covers every non-star-free IF(L) (Lem 5.6),
 //            neutral letter + non-local (Prp 5.7),

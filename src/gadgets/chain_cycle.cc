@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "lang/chain.h"
-#include "lang/infix_free.h"
 #include "util/check.h"
 
 namespace rpqres {
@@ -46,8 +45,7 @@ PreGadget OddChainCycleGadget(const std::vector<std::string>& cycle_words) {
   return g;
 }
 
-Result<PreGadget> BuildNonBipartiteChainGadget(const Language& lang) {
-  Language ifl = InfixFreeSublanguage(lang);
+Result<PreGadget> BuildNonBipartiteChainGadget(const Language& ifl) {
   ChainAnalysis chain = AnalyzeChain(ifl);
   if (!chain.is_chain) {
     return Status::FailedPrecondition(
@@ -111,7 +109,7 @@ Result<PreGadget> BuildNonBipartiteChainGadget(const Language& lang) {
   }
   return Status::NotFound(
       "no odd word cycle yielded a verified gadget for " +
-      lang.description() + reasons);
+      ifl.description() + reasons);
 }
 
 }  // namespace rpqres

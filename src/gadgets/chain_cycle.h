@@ -32,10 +32,11 @@ PreGadget OddChainCycleGadget(const std::vector<std::string>& cycle_words);
 
 /// Finds an odd directed cycle of words in the endpoint structure of a
 /// non-bipartite chain language, builds the gadget, and verifies it.
-/// NotFound if no consistently-oriented odd cycle exists or the candidate
-/// fails verification; FailedPrecondition if IF(lang) is not a chain
-/// language or is bipartite.
-Result<PreGadget> BuildNonBipartiteChainGadget(const Language& lang);
+/// Callers pass IF(L), as they do to FindTractableForm. NotFound if no
+/// consistently-oriented odd cycle exists or the candidate fails
+/// verification; FailedPrecondition if `ifl` is not a chain language or
+/// is bipartite.
+Result<PreGadget> BuildNonBipartiteChainGadget(const Language& ifl);
 
 }  // namespace rpqres
 

@@ -3,12 +3,17 @@
 // A one-dangling language is L₀ ∪ {xy} where L₀ is local over an alphabet
 // Σ and x ≠ y with at least one of x, y outside Σ. Prp 7.9 gives a PTIME
 // resilience algorithm by rewriting to a local-language instance.
+//
+// The definition is symmetric under mirroring: local languages are closed
+// under reversal, xy ∈ L iff yx ∈ mirror(L), and Σ(mirror(L₀)) = Σ(L₀).
+// So mirror(L) has a decomposition iff L has one, and callers never need
+// to search the mirror; Prp 6.3's mirror is only the Prp 7.9 solver's way
+// to put the fresh letter last.
 
 #ifndef RPQRES_LANG_ONE_DANGLING_H_
 #define RPQRES_LANG_ONE_DANGLING_H_
 
 #include <optional>
-#include <string>
 
 #include "lang/language.h"
 
@@ -25,27 +30,12 @@ struct OneDanglingDecomposition {
 
 /// Searches for a one-dangling decomposition of L (Def 7.8): a two-letter
 /// word xy ∈ L, x ≠ y, such that L \ {xy} is local and x or y does not
-/// occur in L \ {xy}. Returns nullopt if none exists.
-///
-/// Note this analyzes L as given; Prp 6.3 lets callers also try Mirror(L)
-/// (FindOrientedOneDangling below).
+/// occur in L \ {xy}. Candidates are tried in (length, lexicographic)
+/// order. Freshness is read off L's minimal DFA, and L \ {xy} is built only
+/// for a candidate with a fresh letter, by cutting xy's one accepting run.
+/// Returns nullopt if no decomposition exists.
 std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
     const Language& lang);
-
-/// A one-dangling decomposition of L itself or, when `mirrored`, of
-/// mirror(L); both directions are PTIME for resilience via Prp 7.9 +
-/// Prp 6.3.
-struct OrientedOneDangling {
-  OneDanglingDecomposition decomposition;
-  bool mirrored = false;
-};
-
-/// Tries L, then mirror(L); nullopt when neither is one-dangling.
-std::optional<OrientedOneDangling> FindOrientedOneDangling(
-    const Language& lang);
-
-/// True iff L or its mirror admits a one-dangling decomposition.
-bool IsOneDanglingOrMirror(const Language& lang);
 
 }  // namespace rpqres
 

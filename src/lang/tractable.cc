@@ -18,7 +18,7 @@ TractableForm FindTractableForm(const Language& ifl) {
     form.chain = *std::move(chain);
     return form;
   }
-  form.one_dangling = FindOrientedOneDangling(ifl);
+  form.one_dangling = FindOneDanglingDecomposition(ifl);
   if (form.one_dangling) form.kind = TractableKind::kOneDangling;
   return form;
 }

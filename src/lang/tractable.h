@@ -23,7 +23,7 @@ enum class TractableKind {
   kNone,            ///< none of the three tests holds
   kLocal,           ///< Thm 3.13
   kBipartiteChain,  ///< Prp 7.6
-  kOneDangling,     ///< Prp 7.9, directly or mirrored (Prp 6.3)
+  kOneDangling,     ///< Prp 7.9
 };
 
 struct TractableForm {
@@ -31,14 +31,14 @@ struct TractableForm {
   /// Set iff kind == kBipartiteChain.
   std::optional<BipartiteChain> chain;
   /// Set iff kind == kOneDangling.
-  std::optional<OrientedOneDangling> one_dangling;
+  std::optional<OneDanglingDecomposition> one_dangling;
 };
 
-/// Tests locality, then the bipartite chain property, then one-dangling
-/// (L, then mirror(L)), stopping at the first that holds. Callers pass
-/// IF(L): every result of Figure 1 is stated on the infix-free
-/// sublanguage. The trivial languages (ε ∈ L, L = ∅) get kNone; callers
-/// answer those before consulting the form.
+/// Tests locality, then the bipartite chain property, then one-dangling,
+/// stopping at the first that holds. Callers pass IF(L): every result of
+/// Figure 1 is stated on the infix-free sublanguage. The trivial
+/// languages (ε ∈ L, L = ∅) get kNone; callers answer those before
+/// consulting the form.
 TractableForm FindTractableForm(const Language& ifl);
 
 }  // namespace rpqres

@@ -6,6 +6,7 @@
 #include <span>
 #include <string_view>
 
+#include "automata/ops.h"
 #include "flow/solver_scratch.h"
 #include "lang/infix_free.h"
 #include "lang/ro_enfa.h"
@@ -16,8 +17,6 @@ namespace rpqres {
 namespace {
 
 constexpr const char* kAlgorithm = "one-dangling flow (Prp 7.9)";
-constexpr const char* kAlgorithmMirrored =
-    "one-dangling flow (Prp 7.9) [mirrored]";
 
 // Picks a letter absent from Σ(base) ∪ {x, y}, printable when possible.
 std::optional<char> PickFreshLetter(const Language& base, char x, char y) {
@@ -214,25 +213,22 @@ class RewrittenFacts {
 }  // namespace
 
 Result<OneDanglingPlan> PrepareOneDanglingPlan(
-    const OrientedOneDangling& found) {
-  const OneDanglingDecomposition& d = found.decomposition;
+    const OneDanglingDecomposition& d) {
   OneDanglingPlan plan;
-  plan.mirrored = found.mirrored;
-  plan.mirror_db = found.mirrored != d.y_in_base;
-  // Only x is fresh: mirror once more so the fresh letter trails.
-  // mirror(base ∪ {xy}) = mirror(base) ∪ {yx}.
-  std::optional<Language> flipped_base;
-  if (d.y_in_base) flipped_base = d.base.Mirror();
-  const Language& base = flipped_base ? *flipped_base : d.base;
+  // Only x is fresh: mirror so the fresh letter trails (Prp 6.3),
+  // mirror(base ∪ {xy}) = mirror(base) ∪ {yx}. Reversing the base's
+  // RO-εNFA keeps it read-once, and mirror(base) uses the same letters.
+  plan.mirror_db = d.y_in_base;
   plan.x = d.y_in_base ? d.y : d.x;
   plan.y = d.y_in_base ? d.x : d.y;
-  std::optional<char> z = PickFreshLetter(base, plan.x, plan.y);
+  std::optional<char> z = PickFreshLetter(d.base, plan.x, plan.y);
   if (!z) {
     return Status::FailedPrecondition(
-        "one-dangling plan: no letter is fresh for " + base.description());
+        "one-dangling plan: no letter is fresh for " + d.base.description());
   }
   plan.z = *z;
-  RPQRES_ASSIGN_OR_RETURN(Enfa ro_base, BuildRoEnfa(base));
+  RPQRES_ASSIGN_OR_RETURN(Enfa ro_base, BuildRoEnfa(d.base));
+  if (plan.mirror_db) ro_base = EnfaMirror(ro_base);
   RPQRES_ASSIGN_OR_RETURN(plan.tables,
                           BuildRoProductTables(RewriteXtoXZ(ro_base, plan.x,
                                                             plan.z)));
@@ -244,7 +240,7 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
     const LabelIndex& index, SolverScratch* scratch) {
   if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
   ResilienceResult result;
-  result.algorithm = plan.mirrored ? kAlgorithmMirrored : kAlgorithm;
+  result.algorithm = kAlgorithm;
   if (plan.tables.accepts_epsilon) {
     result.infinite = true;
     return result;
@@ -367,11 +363,12 @@ Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
     result.algorithm = kAlgorithm;
     return result;
   }
-  std::optional<OrientedOneDangling> found = FindOrientedOneDangling(ifl);
+  std::optional<OneDanglingDecomposition> found =
+      FindOneDanglingDecomposition(ifl);
   if (!found) {
     return Status::FailedPrecondition(
         "SolveOneDanglingResilience: IF(" + lang.description() +
-        ") is not one-dangling (nor is its mirror)");
+        ") is not one-dangling");
   }
   RPQRES_ASSIGN_OR_RETURN(OneDanglingPlan plan, PrepareOneDanglingPlan(*found));
   return SolveOneDanglingResilienceWithPlan(plan, db, semantics, index);

@@ -1,7 +1,8 @@
 // rpqres — resilience/one_dangling_resilience: Proposition 7.9.
 //
 // RES_bag(L ∪ {xy}) for a one-dangling language (L local, y fresh — the
-// x-fresh case is handled through the mirror reduction of Prp 6.3):
+// x-fresh case is handled through the mirror reduction of Prp 6.3, which
+// reverses the database and L's RO-εNFA):
 //  1. rewrite the language: every x becomes xz for a fresh letter z
 //     (L' stays local, by an RO-εNFA edit);
 //  2. rewrite the database: per node v, route x-edges through a new node
@@ -34,28 +35,26 @@ class SolverScratch;
 
 /// The query-only half of Prp 7.9, derived once per language.
 struct OneDanglingPlan {
-  /// The decomposition was found on mirror(IF(L)) (reported in the
-  /// algorithm name).
-  bool mirrored = false;
-  /// Read the database with every edge reversed (Prp 6.3). A mirrored
-  /// decomposition whose y occurs in the base is mirrored a second time so
-  /// that the fresh letter trails; the two mirrors cancel and the database
-  /// is read as stored.
+  /// Read the database with every edge reversed (Prp 6.3): set iff only
+  /// the decomposition's x is fresh, so that the fresh letter trails.
   bool mirror_db = false;
-  /// The dangling word xy of the oriented decomposition; y ∉ Σ(base).
+  /// The dangling word as the plan reads it: the decomposition's xy, or
+  /// yx when mirror_db. y ∉ Σ(base).
   char x = '\0';
   char y = '\0';
   /// The letter of the x → xz rewrite, fresh against Σ(base) ∪ {x, y}.
   /// Database facts that carry it are not read: no word of L contains it.
   char z = '\0';
-  /// Thm 3.13 tables of the rewritten base's RO-εNFA (x → xz).
+  /// Thm 3.13 tables of the rewritten base's RO-εNFA (x → xz), reversed
+  /// first when mirror_db.
   RoProductTables tables;
 };
 
-/// Derives the plan from a decomposition of IF(L) or of its mirror
-/// (FindOrientedOneDangling). FailedPrecondition if the base is not
+/// Derives the plan from a decomposition of IF(L)
+/// (FindOneDanglingDecomposition). FailedPrecondition if the base is not
 /// local.
-Result<OneDanglingPlan> PrepareOneDanglingPlan(const OrientedOneDangling& found);
+Result<OneDanglingPlan> PrepareOneDanglingPlan(
+    const OneDanglingDecomposition& d);
 
 /// Solves RES(Q_L, D) from a prepared plan: per-database work only. Reads
 /// the x, y and base facts through `index`, which must be built from
@@ -66,9 +65,10 @@ Result<ResilienceResult> SolveOneDanglingResilienceWithPlan(
     const OneDanglingPlan& plan, const GraphDb& db, Semantics semantics,
     const LabelIndex& index, SolverScratch* scratch = nullptr);
 
-/// One-shot form: IF(L), FindOrientedOneDangling, PrepareOneDanglingPlan
-/// and `db`'s LabelIndex, then SolveOneDanglingResilienceWithPlan.
-/// FailedPrecondition if neither IF(L) nor its mirror is one-dangling.
+/// One-shot form: IF(L), FindOneDanglingDecomposition,
+/// PrepareOneDanglingPlan and `db`'s LabelIndex, then
+/// SolveOneDanglingResilienceWithPlan. FailedPrecondition if IF(L) is not
+/// one-dangling (then neither is its mirror, Def 7.8 being symmetric).
 Result<ResilienceResult> SolveOneDanglingResilience(const Language& lang,
                                                     const GraphDb& db,
                                                     Semantics semantics);

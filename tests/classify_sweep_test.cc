@@ -47,7 +47,7 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
       case ComplexityClass::kPtime: {
         ++counts[0];
         bool backed = IsLocal(ifl) || IsBipartiteChainLanguage(ifl) ||
-                      IsOneDanglingOrMirror(ifl);
+                      FindOneDanglingDecomposition(ifl).has_value();
         EXPECT_TRUE(backed) << lang.description() << " via " << c->rule;
         // Spot-check the routed solver against brute force (sampled to
         // keep the sweep fast).
@@ -81,14 +81,16 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
         // And never overlap a tractable class.
         EXPECT_FALSE(IsLocal(ifl)) << lang.description();
         EXPECT_FALSE(IsBipartiteChainLanguage(ifl)) << lang.description();
-        EXPECT_FALSE(IsOneDanglingOrMirror(ifl)) << lang.description();
+        EXPECT_FALSE(FindOneDanglingDecomposition(ifl).has_value())
+            << lang.description();
         break;
       }
       case ComplexityClass::kUnclassified: {
         ++counts[2];
         EXPECT_FALSE(IsLocal(ifl)) << lang.description();
         EXPECT_FALSE(IsBipartiteChainLanguage(ifl)) << lang.description();
-        EXPECT_FALSE(IsOneDanglingOrMirror(ifl)) << lang.description();
+        EXPECT_FALSE(FindOneDanglingDecomposition(ifl).has_value())
+            << lang.description();
         EXPECT_FALSE(HasRepeatedLetterWord(ifl)) << lang.description();
         EXPECT_FALSE(FindFourLeggedWitness(ifl)->has_value())
             << lang.description();

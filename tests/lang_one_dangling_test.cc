@@ -1,5 +1,5 @@
 // Tests for one-dangling languages (Def 7.8): decompositions, freshness
-// conditions, mirror handling, and the Figure 1 examples.
+// conditions, the x-fresh-only case, and the Figure 1 examples.
 
 #include <gtest/gtest.h>
 
@@ -62,10 +62,10 @@ TEST(OneDanglingTest, RejectsEqualLetters) {
           .has_value());
 }
 
-TEST(OneDanglingTest, MirrorCase) {
-  // abc|ea: mirror is cba|ae = cba ∪ {ae} with e fresh — one-dangling
-  // only after mirroring (direct: ea has fresh letter e as FIRST letter,
-  // x = e ∉ base, so it is directly one-dangling too with x fresh).
+TEST(OneDanglingTest, OnlyXFresh) {
+  // abc|ea = abc ∪ {ea}: the fresh letter e comes first, so only x is
+  // fresh (the solver mirrors to put it last). Its mirror cba|ae = cba ∪
+  // {ae} has y fresh: Def 7.8 holds on both sides or on neither.
   Language lang = Language::MustFromRegexString("abc|ea");
   std::optional<OneDanglingDecomposition> direct =
       FindOneDanglingDecomposition(lang);
@@ -73,7 +73,7 @@ TEST(OneDanglingTest, MirrorCase) {
   EXPECT_EQ(direct->x, 'e');
   EXPECT_FALSE(direct->x_in_base);
   EXPECT_TRUE(direct->y_in_base);  // a occurs in abc
-  EXPECT_TRUE(IsOneDanglingOrMirror(lang));
+  EXPECT_TRUE(FindOneDanglingDecomposition(lang.Mirror()).has_value());
 }
 
 TEST(OneDanglingTest, XInBaseCase) {
@@ -91,7 +91,9 @@ TEST(OneDanglingTest, XInBaseCase) {
 TEST(OneDanglingTest, NotOneDangling) {
   for (const char* regex :
        {"aa", "axb|cxd", "abc|bcd", "abcd|be|ef", "abcd|bef"}) {
-    EXPECT_FALSE(IsOneDanglingOrMirror(Language::MustFromRegexString(regex)))
+    EXPECT_FALSE(
+        FindOneDanglingDecomposition(Language::MustFromRegexString(regex))
+            .has_value())
         << regex;
   }
 }
@@ -112,8 +114,9 @@ TEST(OneDanglingTest, BclCanAlsoBeOneDangling) {
 TEST(OneDanglingTest, LongDanglingWordDoesNotQualify) {
   // The dangling word must have length exactly 2: abc|bef is not
   // one-dangling (and is in fact NP-hard, Prp 7.11).
-  EXPECT_FALSE(IsOneDanglingOrMirror(
-      Language::MustFromRegexString("abcd|bef")));
+  EXPECT_FALSE(
+      FindOneDanglingDecomposition(Language::MustFromRegexString("abcd|bef"))
+          .has_value());
 }
 
 }  // namespace

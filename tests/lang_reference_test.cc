@@ -10,10 +10,14 @@
 //     (Prp 3.12 / Claim 3.11), and BuildRoEnfa against L itself;
 //   * NeutralLetters against two inclusions, Ins_e(L) ⊆ L and Del_e(L) ⊆ L;
 //   * HasRepeatedLetterWord against L ∩ Σ*aΣ*aΣ* ≠ ∅;
-//   * used_letters() against the alphabet of the trimmed automaton.
+//   * used_letters() against the alphabet of the trimmed automaton;
+//   * FindOneDanglingDecomposition against L \ {xy} built per candidate
+//     by language algebra, and its symmetry under mirroring (Def 7.8),
+//     which is why no caller searches mirror(L).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "lang/language.h"
 #include "lang/local.h"
 #include "lang/neutral_letter.h"
+#include "lang/one_dangling.h"
 #include "lang/repeated_letter.h"
 #include "lang/ro_enfa.h"
 #include "lang/star_free.h"
@@ -140,6 +145,30 @@ bool ReferenceHasRepeatedLetterWord(const Language& lang) {
   return false;
 }
 
+// Reference one-dangling search: per two-letter word xy ∈ L with x ≠ y,
+// in (length, lexicographic) order, builds L \ {xy} as the difference
+// with the word's automaton and tests freshness on its letters.
+std::optional<OneDanglingDecomposition> ReferenceOneDangling(
+    const Language& lang) {
+  Result<std::vector<std::string>> short_words = lang.WordsUpTo(2);
+  if (!short_words.ok()) return std::nullopt;
+  for (const std::string& w : *short_words) {
+    if (w.size() != 2 || w[0] == w[1]) continue;
+    char x = w[0], y = w[1];
+    Language base = Language::FromDfa(Minimize(
+        DifferenceDfa(lang.min_dfa(), MinimalDfa(EnfaFromWord(w)))));
+    base.set_description(lang.description() + " \\ {" + w + "}");
+    const std::vector<char>& sigma = base.used_letters();
+    bool x_in_base = std::binary_search(sigma.begin(), sigma.end(), x);
+    bool y_in_base = std::binary_search(sigma.begin(), sigma.end(), y);
+    if (x_in_base && y_in_base) continue;  // neither endpoint is fresh
+    if (!IsLocal(base)) continue;
+    return OneDanglingDecomposition{x, y, std::move(base), x_in_base,
+                                    y_in_base};
+  }
+  return std::nullopt;
+}
+
 struct CrossCheckCounts {
   int languages = 0;
   int four_legged = 0;
@@ -150,6 +179,7 @@ struct CrossCheckCounts {
   int local = 0;
   int with_neutral_letter = 0;
   int repeated_letter = 0;
+  int one_dangling = 0;
 };
 
 // Checks the minimal-DFA property tests on `lang` against their references
@@ -181,6 +211,26 @@ void CrossCheckProperties(const Language& lang, const std::string& name,
   bool repeated = HasRepeatedLetterWord(lang);
   EXPECT_EQ(repeated, ReferenceHasRepeatedLetterWord(lang)) << name;
   if (repeated) ++counts->repeated_letter;
+
+  std::optional<OneDanglingDecomposition> one_dangling =
+      FindOneDanglingDecomposition(lang);
+  std::optional<OneDanglingDecomposition> reference =
+      ReferenceOneDangling(lang);
+  ASSERT_EQ(one_dangling.has_value(), reference.has_value()) << name;
+  EXPECT_EQ(FindOneDanglingDecomposition(lang.Mirror()).has_value(),
+            one_dangling.has_value())
+      << name << ": one-danglingness is not symmetric under mirroring";
+  if (one_dangling) {
+    ++counts->one_dangling;
+    EXPECT_EQ(one_dangling->x, reference->x) << name;
+    EXPECT_EQ(one_dangling->y, reference->y) << name;
+    EXPECT_EQ(one_dangling->x_in_base, reference->x_in_base) << name;
+    EXPECT_EQ(one_dangling->y_in_base, reference->y_in_base) << name;
+    EXPECT_EQ(one_dangling->base.description(),
+              reference->base.description())
+        << name;
+    EXPECT_TRUE(one_dangling->base.EquivalentTo(reference->base)) << name;
+  }
 }
 
 // Tallies of the property checks, for the test report.
@@ -189,6 +239,7 @@ void RecordPropertyCounts(const CrossCheckCounts& counts) {
   ::testing::Test::RecordProperty("with_neutral_letter",
                                   counts.with_neutral_letter);
   ::testing::Test::RecordProperty("repeated_letter", counts.repeated_letter);
+  ::testing::Test::RecordProperty("one_dangling", counts.one_dangling);
 }
 
 // Checks `lang` and `ifl` = IF(lang) and tallies into `counts`.
@@ -246,6 +297,7 @@ TEST(ReferenceTest, SmallLanguageCorpus) {
   EXPECT_GT(counts.local, 0);
   EXPECT_LT(counts.local, counts.property_languages);
   EXPECT_GT(counts.repeated_letter, 0);
+  EXPECT_GT(counts.one_dangling, 0);
   RecordProperty("four_legged", counts.four_legged);
   RecordPropertyCounts(counts);
 }
@@ -275,6 +327,7 @@ TEST(ReferenceTest, WorkloadQueryCorpus) {
   EXPECT_GT(counts.local, 0);
   EXPECT_LT(counts.local, counts.property_languages);
   EXPECT_GT(counts.repeated_letter, 0);
+  EXPECT_GT(counts.one_dangling, 0);
   RecordProperty("four_legged", counts.four_legged);
   RecordProperty("reference_found", counts.reference_found);
   RecordProperty("non_star_free", counts.non_star_free);
@@ -283,7 +336,10 @@ TEST(ReferenceTest, WorkloadQueryCorpus) {
 
 TEST(ReferenceTest, HandWrittenCorpus) {
   // The Figure 1 rows, plus languages with neutral letters (Section 5.2),
-  // which neither generated corpus is sure to contain.
+  // which neither generated corpus is sure to contain, and one-dangling
+  // edge cases: each orientation of the fresh letter and its mirror, a
+  // second x before the dangling word (xy|axy), a prefix of it in L
+  // (xy|x), and a dangling word with x = y (abc|bb).
   const std::vector<std::string> regexes = {
       "abc|abd", "ab|ad|cd", "ax*b", "ab|bc", "axb|byc", "abc|be",
       "abcd|ce", "abcd|be", "ax*b|xd", "axb|cxd", "ax*b|cxd", "b(aa)*d",
@@ -291,7 +347,8 @@ TEST(ReferenceTest, HandWrittenCorpus) {
       "abc|bcd", "abc|bef", "ab*c|ba", "ab*d|ac*d|bc",
       "e*", "e*ae*", "e*ae*be*", "e*ae*be*|e*ce*", "e*be*ce*|e*de*fe*",
       "e*ae", "(a|c)e*(a|d)", "(a|b)*", "(ab)*", "a*b*", "x(ab)*y",
-      "(a|b)*a(a|b)"};
+      "(a|b)*a(a|b)", "abc|ea", "ax*b|ea", "cba|eb", "bx*a|ae", "xy|axy",
+      "xy|x", "abc|bb"};
   CrossCheckCounts counts;
   for (const std::string& regex : regexes) {
     Language lang = Language::MustFromRegexString(regex);
@@ -300,6 +357,7 @@ TEST(ReferenceTest, HandWrittenCorpus) {
   EXPECT_GT(counts.with_neutral_letter, 0);
   EXPECT_GT(counts.local, 0);
   EXPECT_GT(counts.repeated_letter, 0);
+  EXPECT_GT(counts.one_dangling, 0);
   RecordPropertyCounts(counts);
 }
 
